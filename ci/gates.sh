@@ -49,6 +49,21 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 4: one coordinator entry. `SimMode` picks the wave loop or the
+# discrete-event core in exactly one place, `coordinate` in
+# crates/lac-sim/src/coord.rs; every door (chip, service, cluster) calls
+# it. A `SimMode::… =>` match arm anywhere else would be a second door
+# deciding the time core on its own, free to drift from the others.
+hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>' --include='*.rs' \
+  ./crates ./src ./tests ./examples ./perfbench 2>/dev/null \
+  | grep -v '^\./perfbench/target/' \
+  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+if [ -n "$hits" ]; then
+  echo "SimMode matched outside the coordinator entry (coord.rs):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

@@ -33,11 +33,12 @@
 
 use crate::compile::ProgramCache;
 use crate::config::LacConfig;
+use crate::coord::{coordinate_graph, scoped_workers};
 use crate::engine::LacEngine;
 use crate::error::SimError;
-use crate::event::{drive_event_graph, SimMode};
+use crate::event::SimMode;
 use crate::isa::Program;
-use crate::service::{drive, plan_wave, run_one, Done, GraphRun, JobGraph};
+use crate::service::{plan_wave, GraphRun, JobGraph};
 use crate::stats::ExecStats;
 
 /// One unit of schedulable work: a job knows how to run itself on a core's
@@ -441,19 +442,20 @@ impl LacChip {
         &mut self.shards[i]
     }
 
-    /// Crate-internal: every shard at once — the cluster coordinator
-    /// spawns one scoped worker per shard across all of its chips.
+    /// Crate-internal: every shard at once — the cluster spawns one
+    /// scoped worker per shard across all of its chips.
     pub(crate) fn shards_mut(&mut self) -> &mut [LacEngine] {
         &mut self.shards
     }
 
     /// Run a dependency graph of jobs to completion under `sched`.
     ///
-    /// Execution proceeds in deterministic waves over the ready set (see
-    /// the [`crate::service`] module docs): each wave is planned up front
-    /// from the jobs' cost hints, then every core executes its bucket in
-    /// plan order on its own scoped worker thread. Outputs come back in
-    /// submission order regardless of placement.
+    /// The chip runs as a one-chip cluster through the shared coordinator
+    /// ([`ChipConfig::sim_mode`] picks wave or event mode; see the
+    /// [`crate::service`] module docs): in wave mode each wave is planned
+    /// up front from the jobs' cost hints, then every core executes its
+    /// bucket in plan order on its own scoped worker thread. Outputs come
+    /// back in submission order regardless of placement.
     ///
     /// On a simulation error the earliest *observed* error (by core
     /// index, then bucket position) is returned; the other workers stop
@@ -471,52 +473,12 @@ impl LacChip {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        let cores = self.shards.len();
-        let mode = self.cfg.sim_mode;
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
-        let abort = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<Done<J::Output>>();
-            let mut txs = Vec::with_capacity(cores);
-            for (core, eng) in self.shards.iter_mut().enumerate() {
-                let (tx, rx) = std::sync::mpsc::channel::<usize>();
-                txs.push(tx);
-                let done_tx = done_tx.clone();
-                let abort = &abort;
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let outcome = run_one(eng, &graph.jobs[job], abort);
-                        if done_tx.send(Done { core, job, outcome }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            let dispatch = |core: usize, job| txs[core].send(job).expect("chip worker hung up");
-            let collect = || done_rx.recv().expect("chip worker hung up");
-            match mode {
-                SimMode::Wave => drive(
-                    &costs,
-                    &graph.parents,
-                    &graph.children,
-                    sched,
-                    cores,
-                    dispatch,
-                    collect,
-                ),
-                SimMode::Event => drive_event_graph(
-                    &costs,
-                    &graph.parents,
-                    &graph.children,
-                    sched,
-                    cores,
-                    dispatch,
-                    collect,
-                ),
-            }
-            // `txs` drop here, closing the submission channels; the scoped
-            // workers drain and exit, and the scope joins them.
-        })
+        let cfg = self.cfg;
+        scoped_workers(
+            &mut self.shards,
+            |job| &graph.jobs[job],
+            |dispatch, collect| coordinate_graph(&cfg, graph, sched, dispatch, collect),
+        )
     }
 }
 

@@ -29,28 +29,32 @@
 //!   and exists to stress the transfer model. Partitioning is a pure
 //!   function of the graph's cost hints and edges — never of host timing
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
-//! * **[`LacCluster`]** — owns the chips and coordinates execution with
-//!   the same deterministic wave machinery as the chip/service layers
-//!   ([`plan_wave`] per chip per wave), plus
+//! * **[`LacCluster`]** — owns the chips and runs the partitioned pool
+//!   through the one coordinator entry every door shares
+//!   (`crate::coord::coordinate`). Its wave loop, `drive_cluster` in this
+//!   module, plans each chip's ready set per wave ([`plan_wave`]) and adds
 //!   transfer-aware readiness: a child whose parent completed on another
 //!   chip becomes ready only after the modeled transfer elapses on the
 //!   simulated clock. When every core would idle waiting on a link, the
 //!   clock jumps to the next transfer arrival and the gap is accounted as
-//!   [`ClusterStats::transfer_stall_cycles`].
+//!   [`ClusterStats::transfer_stall_cycles`]. [`SimMode::Event`] swaps in
+//!   the discrete-event core ([`crate::event`]) behind the same entry.
 //!
-//! With one chip there are no cross-chip edges, every transfer charge
-//! vanishes, and the coordinator collapses to exactly the single-chip
-//! wave loop — [`LacCluster::run_graph`] on an N=1 cluster is
-//! bit-identical to [`LacChip::run_graph`], outputs and stats both (a
+//! This wave loop *is* the single-chip one: [`LacChip::run_graph`] and
+//! [`crate::service::LacService`] run their graphs as a one-chip cluster,
+//! where there are no cross-chip edges and every transfer charge
+//! vanishes — so an N=1 [`LacCluster`] is bit-identical to the chip and
+//! service doors, outputs, stats, rounds and tenant meters alike (a
 //! property-tested invariant, see `tests/cluster_props.rs`).
 //!
-//! The multi-tenant front door mirrors [`crate::service::LacService`]:
-//! tenants registered with [`LacCluster::add_tenant`] hold *cluster-wide*
-//! admission budgets ([`LacCluster::enqueue`] charges the same cost-hint
-//! currency whether the graph later lands on one chip or five), and
+//! The multi-tenant front door is [`crate::service::LacService`]'s own:
+//! both own one crate-internal tenancy round. Tenants registered with
+//! [`LacCluster::add_tenant`] hold *cluster-wide* admission budgets
+//! ([`LacCluster::enqueue`] charges the same cost-hint currency whether
+//! the graph later lands on one chip or five), and
 //! [`LacCluster::run_admitted`] fuses every admitted graph into one pool,
-//! partitions the pool, and interleaves it wave-by-wave across all chips
-//! under the chosen [`Scheduler`] policy.
+//! partitions the pool, and interleaves it across all chips under the
+//! chosen [`Scheduler`] policy.
 //!
 //! Energy: feed a run's [`ClusterStats`] to
 //! `lac_power::ClusterEnergyModel`, which prices each chip with the
@@ -59,17 +63,17 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
+use crate::coord::{coordinate, scoped_workers, CoordRun};
 use crate::error::{HazardKind, SimError};
-use crate::event::{drive_event, EventRun, EventTopology, SimMode};
+use crate::event::SimMode;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::service::{
-    admit, cap_banked_credit, collect_wave, critical_paths, drain_inflight, plan_wave,
-    plan_wave_tenanted_slo, run_one, settle_round, Done, FusedPool, GraphCompletion, GraphTicket,
-    JobGraph, JobId, PendingGraph, Rejected, TenantConfig, TenantDelta, TenantId, TenantSession,
+    critical_paths, plan_wave, plan_wave_tenanted_slo, Done, GraphCompletion, GraphTicket,
+    JobGraph, JobId, JobOutcome, Rejected, Tenancy, TenantConfig, TenantDelta, TenantId,
+    TenantSession,
 };
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
-use std::sync::atomic::AtomicBool;
 
 /// Static configuration of a cluster: N chips plus the inter-chip link
 /// model.
@@ -137,6 +141,27 @@ impl ClusterConfig {
     /// `hop_latency + ⌈words / link_bandwidth⌉` cycles.
     pub fn transfer_cycles(&self, words: u64) -> u64 {
         self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
+    }
+
+    /// First global core index of each chip: the coordinators lay every
+    /// chip's cores end to end in chip order.
+    pub(crate) fn chip_base(&self) -> Vec<usize> {
+        let mut base = Vec::with_capacity(self.chips.len());
+        let mut next = 0;
+        for chip in &self.chips {
+            base.push(next);
+            next += chip.cores;
+        }
+        base
+    }
+
+    /// Split a flat per-global-core vector into per-chip vectors.
+    pub(crate) fn by_chip<X: Clone>(&self, flat: &[X]) -> Vec<Vec<X>> {
+        self.chip_base()
+            .iter()
+            .zip(&self.chips)
+            .map(|(&base, chip)| flat[base..base + chip.cores].to_vec())
+            .collect()
     }
 }
 
@@ -307,6 +332,49 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
+    /// Package a run's flat per-global-core meters per chip — the one
+    /// per-chip split both coordinators share. Every chip reports the
+    /// cluster makespan: chips power through the whole run.
+    pub(crate) fn from_cores(
+        cfg: &ClusterConfig,
+        per_core: &[ExecStats],
+        jobs_per_core: &[u64],
+        makespan_cycles: u64,
+        transferred_words: u64,
+        transfer_cycles: u64,
+        transfer_stall_cycles: u64,
+    ) -> Self {
+        let per_chip: Vec<ChipStats> = cfg
+            .by_chip(per_core)
+            .into_iter()
+            .zip(cfg.by_chip(jobs_per_core))
+            .map(|(per_core, jobs_per_core)| {
+                let mut aggregate = ExecStats::default();
+                for s in &per_core {
+                    aggregate.merge(s);
+                }
+                ChipStats {
+                    per_core,
+                    jobs_per_core,
+                    makespan_cycles,
+                    aggregate,
+                }
+            })
+            .collect();
+        let mut aggregate = ExecStats::default();
+        for chip in &per_chip {
+            aggregate.merge(&chip.aggregate);
+        }
+        Self {
+            per_chip,
+            makespan_cycles,
+            transferred_words,
+            transfer_cycles,
+            transfer_stall_cycles,
+            aggregate,
+        }
+    }
+
     /// Total jobs dispatched in this run.
     pub fn jobs(&self) -> u64 {
         self.per_chip.iter().map(|c| c.jobs()).sum()
@@ -425,19 +493,81 @@ pub struct ClusterSession {
     pub transfer_cycles: u64,
 }
 
-/// What the tenant-aware cluster coordinator hands back to the public
-/// doors.
-struct ClusterMultiRun<T> {
-    outputs: Vec<T>,
-    assignment: Vec<(usize, usize)>,
-    wave_of: Vec<usize>,
-    waves: usize,
-    wave_ends: Vec<u64>,
-    idle_per_core: Vec<Vec<u64>>,
-    transfers: Vec<Transfer>,
-    stats: ClusterStats,
-    per_tenant: Vec<TenantDelta>,
-    events: EventLog,
+impl ClusterSession {
+    /// Fold one completed run of `graphs` graphs into the lifetime meters.
+    fn record(&mut self, stats: &ClusterStats, graphs: u64) {
+        self.clock_cycles += stats.makespan_cycles;
+        self.graphs_run += graphs;
+        self.transferred_words += stats.transferred_words;
+        self.transfer_cycles += stats.transfer_cycles;
+    }
+}
+
+/// Collect exactly `dispatched` job reports for one wave, folding
+/// completions into the per-core and per-tenant meters and `outputs`, and
+/// returning the completed job indices. Among observed failures, the job
+/// earliest by dispatch slot (core index, bucket position) wins, whatever
+/// order the host delivered the reports in; panics are re-raised first
+/// (they are harness bugs, not schedule rejections). Once this returns,
+/// nothing is in flight, so the backend stays usable.
+///
+/// `job_cycles[j]` receives job `j`'s own busy cycles on completion —
+/// the per-job span the wave loop's event log reconstructs
+/// start/end ticks from (a core runs its bucket in position order, so a
+/// job's start is the wave's start plus its bucket predecessors' spans).
+#[allow(clippy::too_many_arguments)] // the wave's full accounting context
+fn collect_wave<T>(
+    dispatched: usize,
+    mut collect: impl FnMut() -> Done<T>,
+    dispatch_slot: &[(usize, usize)],
+    tenant_of: &[usize],
+    wave_cycles: &mut [u64],
+    per_core: &mut [ExecStats],
+    jobs_per_core: &mut [u64],
+    per_tenant: &mut [TenantDelta],
+    outputs: &mut [Option<T>],
+    job_cycles: &mut [u64],
+) -> Result<Vec<usize>, SimError> {
+    let mut completed: Vec<usize> = Vec::with_capacity(dispatched);
+    let mut first_err: Option<((usize, usize), SimError)> = None;
+    let mut first_panic: Option<((usize, usize), String)> = None;
+    for _ in 0..dispatched {
+        let done = collect();
+        let slot = dispatch_slot[done.job];
+        match done.outcome {
+            JobOutcome::Completed(out, delta) => {
+                job_cycles[done.job] = delta.cycles;
+                wave_cycles[done.core] += delta.cycles;
+                per_core[done.core].merge(&delta);
+                jobs_per_core[done.core] += 1;
+                let t = tenant_of[done.job];
+                per_tenant[t].busy.merge(&delta);
+                per_tenant[t].jobs += 1;
+                outputs[done.job] = Some(out);
+                completed.push(done.job);
+            }
+            // Skipped at the job boundary after a peer's failure: no
+            // simulated work happened.
+            JobOutcome::Skipped => {}
+            JobOutcome::Failed(e) => {
+                if first_err.as_ref().is_none_or(|(s, _)| slot < *s) {
+                    first_err = Some((slot, e));
+                }
+            }
+            JobOutcome::Panicked(msg) => {
+                if first_panic.as_ref().is_none_or(|(s, _)| slot < *s) {
+                    first_panic = Some((slot, msg));
+                }
+            }
+        }
+    }
+    if let Some(((core, pos), msg)) = first_panic {
+        panic!("job panicked on core {core} (bucket position {pos}): {msg}");
+    }
+    if let Some((_, e)) = first_err {
+        return Err(e);
+    }
+    Ok(completed)
 }
 
 /// Apply every scheduled fault whose tick is due by `base + clock` (see
@@ -601,7 +731,7 @@ fn apply_due_faults<T>(
 /// spans, transfers, faults, requeues and idle fast-forwards, all on the
 /// run-relative simulated clock.
 #[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-fn drive_cluster<T>(
+pub(crate) fn drive_cluster<T>(
     cfg: &ClusterConfig,
     costs: &[u64],
     transfer_words: &[u64],
@@ -618,15 +748,11 @@ fn drive_cluster<T>(
     sched: Scheduler,
     mut dispatch: impl FnMut(usize, usize),
     mut collect: impl FnMut() -> Done<T>,
-) -> Result<ClusterMultiRun<T>, SimError> {
+) -> Result<CoordRun<T>, SimError> {
     let n = costs.len();
     let chips = cfg.chips.len();
-    let cores_per_chip: Vec<usize> = cfg.chips.iter().map(|c| c.cores).collect();
     // Global core index = chip_base[chip] + core-within-chip.
-    let mut chip_base = vec![0usize; chips];
-    for c in 1..chips {
-        chip_base[c] = chip_base[c - 1] + cores_per_chip[c - 1];
-    }
+    let chip_base = cfg.chip_base();
     let total_cores = cfg.total_cores();
 
     let priority = critical_paths(costs, children);
@@ -653,7 +779,6 @@ fn drive_cluster<T>(
     let mut transfer_cycles = 0u64;
     let mut transfer_stall_cycles = 0u64;
     let mut clock = 0u64;
-    let mut waves = 0usize;
     let mut wave_ends: Vec<u64> = Vec::new();
     let mut events = EventLog::new();
 
@@ -744,15 +869,15 @@ fn drive_cluster<T>(
                     usage,
                     weights,
                     boost,
-                    cores_per_chip[chip],
+                    cfg.chips[chip].cores,
                 ),
-                _ => plan_wave(sched, &chip_ready, costs, &priority, cores_per_chip[chip]),
+                _ => plan_wave(sched, &chip_ready, costs, &priority, cfg.chips[chip].cores),
             };
             for (core, bucket) in buckets.iter().enumerate() {
                 let g = chip_base[chip] + core;
                 for (pos, &j) in bucket.iter().enumerate() {
                     assignment[j] = (chip, core);
-                    wave_of[j] = waves;
+                    wave_of[j] = wave_ends.len();
                     in_wave[j] = true;
                     dispatch_slot[j] = (g, pos);
                     by_core[g].push(j);
@@ -765,13 +890,9 @@ fn drive_cluster<T>(
                 }
             }
         }
-        waves += 1;
         let wave_start = clock;
 
         let mut wave_cycles = vec![0u64; total_cores];
-        // Same failure and metering semantics as `drive_multi`, by
-        // construction: both coordinators collect through the shared
-        // `collect_wave` (cores indexed globally here).
         let mut completed = collect_wave(
             dispatched,
             &mut collect,
@@ -887,107 +1008,30 @@ fn drive_cluster<T>(
         pending.sort_unstable();
     }
 
-    let mut aggregate = ExecStats::default();
-    for s in &per_core {
-        aggregate.merge(s);
-    }
     let outputs: Vec<T> = outputs
         .into_iter()
         .enumerate()
         .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
         .collect();
-
-    let mut per_chip = Vec::with_capacity(chips);
-    let mut idle_nested = Vec::with_capacity(chips);
-    for chip in 0..chips {
-        let range = chip_base[chip]..chip_base[chip] + cores_per_chip[chip];
-        let chip_cores: Vec<ExecStats> = per_core[range.clone()].to_vec();
-        let mut chip_aggregate = ExecStats::default();
-        for s in &chip_cores {
-            chip_aggregate.merge(s);
-        }
-        per_chip.push(ChipStats {
-            per_core: chip_cores,
-            jobs_per_core: jobs_per_core[range.clone()].to_vec(),
-            makespan_cycles: clock,
-            aggregate: chip_aggregate,
-        });
-        idle_nested.push(idle_per_core[range].to_vec());
-    }
-
-    Ok(ClusterMultiRun {
+    Ok(CoordRun {
         outputs,
         assignment,
         wave_of,
-        waves,
         wave_ends,
-        idle_per_core: idle_nested,
+        idle_per_core,
         transfers,
-        stats: ClusterStats {
-            per_chip,
-            makespan_cycles: clock,
+        stats: ClusterStats::from_cores(
+            cfg,
+            &per_core,
+            &jobs_per_core,
+            clock,
             transferred_words,
             transfer_cycles,
             transfer_stall_cycles,
-            aggregate,
-        },
+        ),
         per_tenant,
         events,
     })
-}
-
-/// Package an event-mode run into the shape the cluster doors consume:
-/// split the flat per-core stats back into per-chip [`ChipStats`] (every
-/// chip reports the cluster makespan, exactly like wave mode), and read
-/// the sorted distinct completion ticks as the wave clock. Event-mode
-/// `transfer_stall_cycles` are the all-cores-idle gaps the heap hopped
-/// over; per core, `busy + idle + stall = makespan`.
-fn package_event_run<T>(cfg: &ClusterConfig, run: EventRun<T>) -> ClusterMultiRun<T> {
-    let chips = cfg.chips.len();
-    let mut chip_base = vec![0usize; chips];
-    for c in 1..chips {
-        chip_base[c] = chip_base[c - 1] + cfg.chips[c - 1].cores;
-    }
-    let mut aggregate = ExecStats::default();
-    for s in &run.per_core {
-        aggregate.merge(s);
-    }
-    let mut per_chip = Vec::with_capacity(chips);
-    let mut idle_nested = Vec::with_capacity(chips);
-    for (chip, &base) in chip_base.iter().enumerate() {
-        let range = base..base + cfg.chips[chip].cores;
-        let chip_cores: Vec<ExecStats> = run.per_core[range.clone()].to_vec();
-        let mut chip_aggregate = ExecStats::default();
-        for s in &chip_cores {
-            chip_aggregate.merge(s);
-        }
-        per_chip.push(ChipStats {
-            per_core: chip_cores,
-            jobs_per_core: run.jobs_per_core[range.clone()].to_vec(),
-            makespan_cycles: run.makespan,
-            aggregate: chip_aggregate,
-        });
-        idle_nested.push(run.idle_per_core[range].to_vec());
-    }
-    ClusterMultiRun {
-        outputs: run.outputs,
-        assignment: run.assignment,
-        wave_of: run.wave_of,
-        waves: run.wave_ends.len(),
-        wave_ends: run.wave_ends,
-        idle_per_core: idle_nested,
-        transfers: run.transfers,
-        stats: ClusterStats {
-            per_chip,
-            makespan_cycles: run.makespan,
-            transferred_words: run.transferred_words,
-            transfer_cycles: run.transfer_cycles,
-            transfer_stall_cycles: run.stall_cycles,
-            aggregate,
-        },
-        per_tenant: run.per_tenant,
-        events: run.events,
-    }
 }
 
 /// A multi-chip deployment: N [`LacChip`]s behind one deterministic
@@ -996,9 +1040,10 @@ fn package_event_run<T>(cfg: &ClusterConfig, run: EventRun<T>) -> ClusterMultiRu
 ///
 /// Like [`LacChip`] (and unlike the persistent
 /// [`crate::service::LacService`]), a cluster borrows the calling thread
-/// and scoped workers per run: one worker per core per chip, each owning
-/// its shard's [`crate::engine::LacEngine`] for the duration of the run. Shard state and
-/// session meters persist across runs — the chips are owned, not rebuilt.
+/// and the chip's scoped worker pool per run: one worker per core per
+/// chip, each owning its shard's [`crate::engine::LacEngine`] for the
+/// duration of the run. Shard state and session meters persist across
+/// runs — the chips are owned, not rebuilt.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig, Scheduler};
@@ -1022,16 +1067,111 @@ fn package_event_run<T>(cfg: &ClusterConfig, run: EventRun<T>) -> ClusterMultiRu
 /// assert!(run.transfers.is_empty(), "no edges were cut");
 /// ```
 pub struct LacCluster<J: ChipJob> {
+    fleet: Fleet,
+    tenancy: Tenancy<J>,
+    session: ClusterSession,
+    program_cache: ProgramCache,
+}
+
+/// The hardware side of a [`LacCluster`]: everything a run touches
+/// besides the tenants, which the shared tenancy round owns.
+struct Fleet {
     cfg: ClusterConfig,
     partitioner: Partitioner,
     chips: Vec<LacChip>,
-    tenants: Vec<(TenantConfig, TenantSession)>,
-    pending: Vec<PendingGraph<J>>,
-    next_seq: u64,
-    session: ClusterSession,
     fault_plan: FaultPlan,
     dead: Vec<bool>,
-    program_cache: ProgramCache,
+}
+
+impl Fleet {
+    /// Partition over the *alive* chips only, then remap onto real chip
+    /// indices — a dead chip never receives new work. Errors with
+    /// [`HazardKind::AllChipsDead`] (at session tick `clock`) when jobs
+    /// need placing and no chip survives.
+    fn partition_alive(
+        &self,
+        clock: u64,
+        costs: &[u64],
+        parents: &[Vec<usize>],
+    ) -> Result<Partition, SimError> {
+        let chips = self.chips.len();
+        let alive: Vec<usize> = (0..chips).filter(|&c| !self.dead[c]).collect();
+        if alive.is_empty() && !costs.is_empty() {
+            return Err(SimError {
+                cycle: clock as usize,
+                pe: None,
+                kind: HazardKind::AllChipsDead { chips },
+            });
+        }
+        let part = partition_costs(self.partitioner, costs, parents, alive.len().max(1));
+        if alive.len() == chips {
+            return Ok(part);
+        }
+        let mut chip_cost = vec![0u64; chips];
+        for (&chip, &cost) in alive.iter().zip(&part.chip_cost) {
+            chip_cost[chip] = cost;
+        }
+        Ok(Partition {
+            chip_of: part.chip_of.iter().map(|&c| alive[c]).collect(),
+            cut_edges: part.cut_edges,
+            chip_cost,
+        })
+    }
+
+    /// Partition a job pool over the alive chips, spawn one scoped worker
+    /// per core per chip, and [`coordinate`] the pool. `base` is the
+    /// session clock at run start; `job_of` resolves a pool index to the
+    /// job to run (identity for [`LacCluster::run_graph`], the owner map
+    /// for rounds). Chips killed during the run stay marked dead for
+    /// every later run.
+    #[allow(clippy::too_many_arguments)] // mirrors the coordinator it feeds
+    fn run<'j, J: ChipJob + 'j>(
+        &mut self,
+        base: u64,
+        job_of: impl Fn(usize) -> &'j J + Sync,
+        costs: &[u64],
+        transfer_words: &[u64],
+        parents: &[Vec<usize>],
+        children: &[Vec<usize>],
+        tenant_of: &[usize],
+        weights: &[u64],
+        usage: &mut [u64],
+        boost: &[u64],
+        sched: Scheduler,
+    ) -> Result<(Partition, CoordRun<J::Output>), SimError> {
+        let hints: Vec<u64> = costs.iter().map(|&c| c.max(1)).collect();
+        let partition = self.partition_alive(base, &hints, parents)?;
+        let mut chip_of = partition.chip_of.clone();
+        let Fleet {
+            cfg,
+            chips,
+            fault_plan,
+            dead,
+            ..
+        } = self;
+        let engines = chips.iter_mut().flat_map(|c| c.shards_mut().iter_mut());
+        let run = scoped_workers(engines, job_of, |dispatch, collect| {
+            coordinate(
+                cfg,
+                costs,
+                transfer_words,
+                parents,
+                children,
+                &mut chip_of,
+                dead,
+                fault_plan.kills(),
+                base,
+                tenant_of,
+                weights,
+                usage,
+                boost,
+                sched,
+                dispatch,
+                collect,
+            )
+        })?;
+        Ok((partition, run))
+    }
 }
 
 impl<J: ChipJob> LacCluster<J> {
@@ -1050,15 +1190,15 @@ impl<J: ChipJob> LacCluster<J> {
             .collect();
         let dead = vec![false; chips.len()];
         Self {
-            cfg,
-            partitioner: Partitioner::CostBins,
-            chips,
-            tenants: Vec::new(),
-            pending: Vec::new(),
-            next_seq: 0,
+            fleet: Fleet {
+                cfg,
+                partitioner: Partitioner::CostBins,
+                chips,
+                fault_plan: FaultPlan::new(),
+                dead,
+            },
+            tenancy: Tenancy::default(),
             session: ClusterSession::default(),
-            fault_plan: FaultPlan::new(),
-            dead,
             program_cache,
         }
     }
@@ -1070,7 +1210,7 @@ impl<J: ChipJob> LacCluster<J> {
 
     /// Override the placement policy (see [`Partitioner`]).
     pub fn with_partitioner(mut self, p: Partitioner) -> Self {
-        self.partitioner = p;
+        self.fleet.partitioner = p;
         self
     }
 
@@ -1089,81 +1229,48 @@ impl<J: ChipJob> LacCluster<J> {
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         for k in plan.kills() {
             assert!(
-                k.chip < self.chips.len(),
+                k.chip < self.fleet.chips.len(),
                 "fault plan kills chip {} of a {}-chip cluster",
                 k.chip,
-                self.chips.len()
+                self.fleet.chips.len()
             );
         }
-        self.fault_plan.merge(plan);
+        self.fleet.fault_plan.merge(plan);
     }
 
     /// The installed fault schedule (applied kills included).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+        &self.fleet.fault_plan
     }
 
     /// Which chips have died so far, by chip index.
     pub fn dead_chips(&self) -> &[bool] {
-        &self.dead
+        &self.fleet.dead
     }
 
     /// Chips still alive (new rounds are partitioned over these only).
     pub fn alive_chips(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-
-    /// Partition over the *alive* chips only, then remap onto real chip
-    /// indices — a dead chip never receives new work. Errors with
-    /// [`HazardKind::AllChipsDead`] when no chip survives.
-    fn partition_alive(
-        &self,
-        costs: &[u64],
-        parents: &[Vec<usize>],
-    ) -> Result<Partition, SimError> {
-        let chips = self.chips.len();
-        let alive: Vec<usize> = (0..chips).filter(|&c| !self.dead[c]).collect();
-        if alive.is_empty() {
-            return Err(SimError {
-                cycle: self.session.clock_cycles as usize,
-                pe: None,
-                kind: HazardKind::AllChipsDead { chips },
-            });
-        }
-        let part = partition_costs(self.partitioner, costs, parents, alive.len());
-        if alive.len() == chips {
-            return Ok(part);
-        }
-        let chip_of: Vec<usize> = part.chip_of.iter().map(|&c| alive[c]).collect();
-        let mut chip_cost = vec![0u64; chips];
-        for (i, &cost) in part.chip_cost.iter().enumerate() {
-            chip_cost[alive[i]] = cost;
-        }
-        Ok(Partition {
-            chip_of,
-            cut_edges: part.cut_edges,
-            chip_cost,
-        })
+        self.fleet.dead.iter().filter(|&&d| !d).count()
     }
 
     /// The cluster's static configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
+        &self.fleet.cfg
     }
 
     /// The active placement policy.
     pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
+        self.fleet.partitioner
     }
 
     /// Number of chips.
     pub fn num_chips(&self) -> usize {
-        self.chips.len()
+        self.fleet.chips.len()
     }
 
     /// One chip (its shards' session meters survive cluster runs).
     pub fn chip(&self, i: usize) -> &LacChip {
-        &self.chips[i]
+        &self.fleet.chips[i]
     }
 
     /// Lifetime meters across every completed run since construction.
@@ -1175,13 +1282,14 @@ impl<J: ChipJob> LacCluster<J> {
     /// `sched`.
     ///
     /// The graph is partitioned first (see [`Partitioner`]), then
-    /// executed in deterministic waves: each chip plans its own ready
-    /// bucket per wave from cost hints, cross-chip edges delay children
-    /// by the modeled transfer, and the shared simulated clock advances
-    /// by the slowest bucket anywhere. Outputs come back in submission
-    /// order regardless of placement, bit-identical across reruns,
-    /// policies and host interleavings (the same guarantee as
-    /// [`LacChip::run_graph`], which an N=1 cluster reproduces exactly).
+    /// executed by the coordinator [`ClusterConfig::sim_mode`] selects —
+    /// in wave mode each chip plans its own ready bucket per wave from
+    /// cost hints, cross-chip edges delay children by the modeled
+    /// transfer, and the shared simulated clock advances by the slowest
+    /// bucket anywhere. Outputs come back in submission order regardless
+    /// of placement, bit-identical across reruns, policies and host
+    /// interleavings (the same guarantee as [`LacChip::run_graph`], which
+    /// an N=1 cluster reproduces exactly).
     ///
     /// Error semantics match [`LacChip::run_graph`]: the earliest
     /// observed failure (by global core index, then bucket position) is
@@ -1194,38 +1302,28 @@ impl<J: ChipJob> LacCluster<J> {
     ) -> Result<ClusterRun<J::Output>, SimError> {
         let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
         let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
-        let partition = self.partition_alive(
-            &costs.iter().map(|&c| c.max(1)).collect::<Vec<_>>(),
-            &graph.parents,
-        )?;
-        let tenant_of = vec![0usize; costs.len()];
-        let mut usage = [0u64];
-        let mut chip_of = partition.chip_of.clone();
-        let run = self.run_scoped(
+        let (partition, run) = self.fleet.run(
+            self.session.clock_cycles,
             |job| &graph.jobs[job],
             &costs,
             &transfer_words,
             &graph.parents,
             &graph.children,
-            &mut chip_of,
-            &tenant_of,
+            &vec![0; costs.len()],
             &[1],
-            &mut usage,
+            &mut [0],
             &[u64::MAX],
             sched,
         )?;
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += 1;
-        self.session.transferred_words += run.stats.transferred_words;
-        self.session.transfer_cycles += run.stats.transfer_cycles;
+        self.session.record(&run.stats, 1);
         Ok(ClusterRun {
             outputs: run.outputs,
             partition,
             assignment: run.assignment,
             wave_of: run.wave_of,
-            waves: run.waves,
+            waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
-            idle_per_core: run.idle_per_core,
+            idle_per_core: self.fleet.cfg.by_chip(&run.idle_per_core),
             transfers: run.transfers,
             stats: run.stats,
             events: run.events,
@@ -1236,24 +1334,22 @@ impl<J: ChipJob> LacCluster<J> {
     /// tenant's admission budget and fair-share weight span every chip —
     /// one budget, however many chips its graphs land on.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
-        let id = TenantId::from_index(self.tenants.len());
-        self.tenants.push((cfg, TenantSession::default()));
-        id
+        self.tenancy.add_tenant(cfg)
     }
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+        self.tenancy.num_tenants()
     }
 
     /// The policy knobs tenant `t` registered with.
     pub fn tenant_config(&self, t: TenantId) -> &TenantConfig {
-        &self.tenants[t.index()].0
+        self.tenancy.config(t)
     }
 
     /// The tenant's lifetime meters (updated only by completed rounds).
     pub fn tenant_session(&self, t: TenantId) -> &TenantSession {
-        &self.tenants[t.index()].1
+        self.tenancy.session(t)
     }
 
     /// Model a gap between rounds: every chip sits powered but idle for
@@ -1268,18 +1364,15 @@ impl<J: ChipJob> LacCluster<J> {
     /// Graphs admitted and waiting for the next
     /// [`LacCluster::run_admitted`].
     pub fn pending_graphs(&self) -> usize {
-        self.pending.len()
+        self.tenancy.pending_graphs()
     }
 
     /// Submit a graph through tenant `t`'s cluster-wide admission door —
     /// identical deterministic-backpressure semantics to
-    /// [`crate::service::LacService::enqueue`] (it runs the same
-    /// admission function), with one budget covering all chips.
+    /// [`crate::service::LacService::enqueue`] (both doors share one
+    /// tenancy implementation), with one budget covering all chips.
     pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        let pending = admit(&mut self.tenants, &mut self.next_seq, t, graph)?;
-        let ticket = pending.ticket;
-        self.pending.push(pending);
-        Ok(ticket)
+        self.tenancy.enqueue(t, graph)
     }
 
     /// Run every admitted graph in one interleaved, sharded round: the
@@ -1287,12 +1380,13 @@ impl<J: ChipJob> LacCluster<J> {
     /// pool is partitioned across chips, and execution interleaves
     /// wave-by-wave under `sched` with the same fair-share deficits,
     /// banked-credit cap and failure semantics as
-    /// [`crate::service::LacService::run_admitted`]. On success the round
-    /// folds into the cluster session and each tenant's
-    /// [`TenantSession`]; on error the round's graphs are dropped and
-    /// their in-flight cost drains.
+    /// [`crate::service::LacService::run_admitted`] — both doors run the
+    /// same tenancy round. On success the round folds into the cluster
+    /// session and each tenant's [`TenantSession`]; on error or a job
+    /// panic the round's graphs are dropped and their in-flight cost
+    /// drains.
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ClusterRound<J::Output>, SimError> {
-        let boost = vec![u64::MAX; self.tenants.len()];
+        let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
     }
 
@@ -1308,216 +1402,36 @@ impl<J: ChipJob> LacCluster<J> {
         sched: Scheduler,
         boost: &[u64],
     ) -> Result<ClusterRound<J::Output>, SimError> {
-        assert_eq!(
-            boost.len(),
-            self.tenants.len(),
-            "one boost slack per registered tenant"
-        );
-        let pending = std::mem::take(&mut self.pending);
-        let chips = self.chips.len();
-        if pending.is_empty() {
-            return Ok(ClusterRound {
-                graphs: Vec::new(),
-                partition: Partition {
-                    chip_of: Vec::new(),
-                    cut_edges: Vec::new(),
-                    chip_cost: vec![0; chips],
+        let (fleet, base) = (&mut self.fleet, self.session.clock_cycles);
+        let (pool, partition, run) = self.tenancy.run_round(boost, |pool, weights, usage| {
+            fleet.run(
+                base,
+                |job| {
+                    let (g, local) = pool.owner[job];
+                    &pool.graphs[g].jobs[local]
                 },
-                waves: 0,
-                wave_end_cycles: Vec::new(),
-                transfers: Vec::new(),
-                stats: ClusterStats {
-                    per_chip: self
-                        .cfg
-                        .chips
-                        .iter()
-                        .map(|c| ChipStats {
-                            per_core: vec![ExecStats::default(); c.cores],
-                            jobs_per_core: vec![0; c.cores],
-                            makespan_cycles: 0,
-                            aggregate: ExecStats::default(),
-                        })
-                        .collect(),
-                    makespan_cycles: 0,
-                    transferred_words: 0,
-                    transfer_cycles: 0,
-                    transfer_stall_cycles: 0,
-                    aggregate: ExecStats::default(),
-                },
-                events: EventLog::new(),
-            });
-        }
-
-        let pool = FusedPool::new(pending);
-        let partition = match self.partition_alive(
-            &pool.costs.iter().map(|&c| c.max(1)).collect::<Vec<_>>(),
-            &pool.parents,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        cap_banked_credit(&mut usage, &weights, &pool.backlog(self.tenants.len()));
-
-        let mut chip_of = partition.chip_of.clone();
-        let run = self.run_scoped(
-            |job| {
-                let (g, local) = pool.owner[job];
-                &pool.graphs[g].jobs[local]
-            },
-            &pool.costs,
-            &pool.transfer_words,
-            &pool.parents,
-            &pool.children,
-            &mut chip_of,
-            &pool.tenant_of,
-            &weights,
-            &mut usage,
-            boost,
-            sched,
-        );
-        let run = match run {
-            Ok(run) => run,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += pool.graphs.len() as u64;
-        self.session.transferred_words += run.stats.transferred_words;
-        self.session.transfer_cycles += run.stats.transfer_cycles;
-        settle_round(&mut self.tenants, &pool, &run.per_tenant);
-
-        // Flatten (chip, core) to global core indices for the shared
-        // GraphCompletion shape.
-        let mut chip_base = vec![0usize; chips];
-        for c in 1..chips {
-            chip_base[c] = chip_base[c - 1] + self.cfg.chips[c - 1].cores;
-        }
-        let global: Vec<usize> = run
-            .assignment
-            .iter()
-            .map(|&(chip, core)| chip_base[chip] + core)
-            .collect();
-        let completions = pool.completions(run.outputs, &global, &run.wave_of);
+                &pool.costs,
+                &pool.transfer_words,
+                &pool.parents,
+                &pool.children,
+                &pool.tenant_of,
+                weights,
+                usage,
+                boost,
+                sched,
+            )
+        })?;
+        self.session.record(&run.stats, pool.graphs.len() as u64);
+        // Completions carry global core indices (chips laid end to end).
+        let cores = run.global_cores(&self.fleet.cfg);
         Ok(ClusterRound {
-            graphs: completions,
+            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
             partition,
-            waves: run.waves,
+            waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
             transfers: run.transfers,
             stats: run.stats,
             events: run.events,
-        })
-    }
-
-    /// Spawn one scoped worker per core per chip and drive the fused job
-    /// pool through [`drive_cluster`]. `job_of` resolves a pool index to
-    /// the job to run (identity for [`LacCluster::run_graph`], the owner
-    /// map for rounds). `chip_of` is mutable because a fault requeues
-    /// jobs off the dead chip in place; chips killed during the run stay
-    /// marked in `self.dead` for every later round.
-    #[allow(clippy::too_many_arguments)] // mirrors the coordinator it feeds
-    fn run_scoped<'j>(
-        &mut self,
-        job_of: impl Fn(usize) -> &'j J + Sync,
-        costs: &[u64],
-        transfer_words: &[u64],
-        parents: &[Vec<usize>],
-        children: &[Vec<usize>],
-        chip_of: &mut [usize],
-        tenant_of: &[usize],
-        weights: &[u64],
-        usage: &mut [u64],
-        boost: &[u64],
-        sched: Scheduler,
-    ) -> Result<ClusterMultiRun<J::Output>, SimError>
-    where
-        J: 'j,
-    {
-        let faults: Vec<FaultEvent> = self.fault_plan.kills().to_vec();
-        let base = self.session.clock_cycles;
-        let cfg = &self.cfg;
-        let chips = &mut self.chips;
-        let dead = &mut self.dead;
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<Done<J::Output>>();
-            let mut txs = Vec::with_capacity(cfg.total_cores());
-            for chip in chips.iter_mut() {
-                for eng in chip.shards_mut().iter_mut() {
-                    let core = txs.len();
-                    let (tx, rx) = std::sync::mpsc::channel::<usize>();
-                    txs.push(tx);
-                    let done_tx = done_tx.clone();
-                    let abort = &abort;
-                    let job_of = &job_of;
-                    scope.spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let outcome = run_one(eng, job_of(job), abort);
-                            if done_tx.send(Done { core, job, outcome }).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-            }
-            let dispatch = |core: usize, job| txs[core].send(job).expect("cluster worker hung up");
-            let collect = || done_rx.recv().expect("cluster worker hung up");
-            match cfg.sim_mode {
-                SimMode::Wave => drive_cluster(
-                    cfg,
-                    costs,
-                    transfer_words,
-                    parents,
-                    children,
-                    chip_of,
-                    dead,
-                    &faults,
-                    base,
-                    tenant_of,
-                    weights,
-                    usage,
-                    boost,
-                    sched,
-                    dispatch,
-                    collect,
-                ),
-                SimMode::Event => {
-                    let topo = EventTopology {
-                        cores_per_chip: cfg.chips.iter().map(|c| c.cores).collect(),
-                        link_words_per_cycle: cfg.link_words_per_cycle,
-                        hop_latency_cycles: cfg.hop_latency_cycles,
-                    };
-                    drive_event(
-                        &topo,
-                        costs,
-                        transfer_words,
-                        parents,
-                        children,
-                        chip_of,
-                        dead,
-                        &faults,
-                        base,
-                        tenant_of,
-                        weights,
-                        usage,
-                        boost,
-                        sched,
-                        dispatch,
-                        collect,
-                    )
-                    .map(|run| package_event_run(cfg, run))
-                }
-            }
-            // `txs` drop here; the scoped workers drain and the scope
-            // joins them.
         })
     }
 }
@@ -1907,5 +1821,41 @@ mod tests {
             .run_graph(&diamonds(1), Scheduler::Fifo)
             .unwrap_err();
         assert_eq!(err2.kind, HazardKind::AllChipsDead { chips: 2 });
+    }
+
+    #[test]
+    fn panicking_round_releases_admitted_cost() {
+        // A job panic unwinds out of the round; the tenant's admitted cost
+        // must still drain, or every later enqueue bounces off the budget
+        // for good — on one chip and across two.
+        struct MaybePanic(bool, ProgramJob);
+        impl ChipJob for MaybePanic {
+            type Output = ExecStats;
+            fn cost_hint(&self) -> u64 {
+                self.1.cost_hint()
+            }
+            fn run_on(&self, eng: &mut crate::engine::LacEngine) -> Result<ExecStats, SimError> {
+                assert!(!self.0, "bad operand");
+                self.1.run_on(eng)
+            }
+        }
+        for (chips, mode) in [(1, SimMode::Wave), (2, SimMode::Wave), (2, SimMode::Event)] {
+            let chip = ChipConfig::new(2, LacConfig::default()).with_sim_mode(mode);
+            let mut cluster: LacCluster<MaybePanic> =
+                LacCluster::new(ClusterConfig::homogeneous(chips, chip));
+            let t = cluster.add_tenant(TenantConfig::new("unlucky").with_admission_budget(15));
+            let bad: JobGraph<MaybePanic> = [MaybePanic(true, job(0, 10))].into_iter().collect();
+            cluster.enqueue(t, bad).unwrap();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cluster.run_admitted(Scheduler::FairShare)
+            }))
+            .expect_err("the job's panic surfaces");
+            assert_eq!(cluster.tenant_session(t).inflight_cost, 0, "{chips} chips");
+            let ok: JobGraph<MaybePanic> = [MaybePanic(false, job(0, 10))].into_iter().collect();
+            cluster.enqueue(t, ok).expect("the budget was released");
+            let round = cluster.run_admitted(Scheduler::FairShare).unwrap();
+            assert_eq!(round.graphs.len(), 1);
+            assert_eq!(cluster.session().graphs_run, 1);
+        }
     }
 }

@@ -1,12 +1,15 @@
 //! Discrete-event simulation core: the event-driven alternative to the
 //! lock-step wave coordinator, selected per run by [`SimMode`].
 //!
-//! The wave coordinators ([`crate::service`], [`crate::cluster`]) advance
-//! one *wave* at a time: every chip plans its ready set, the shared clock
-//! jumps by the slowest bucket anywhere, and only then do children — and
-//! cut-edge transfers — move. That barrier is what makes a cross-chip
-//! transfer cost an entire wave of latency and what forces all-idle gaps
-//! to be fast-forwarded as [`crate::cluster::ClusterStats::transfer_stall_cycles`].
+//! Both coordinators sit behind one entry point, `crate::coord::coordinate`,
+//! which every door calls — a chip or a service is a one-chip cluster, so
+//! this core and the wave loop each exist exactly once. The wave loop
+//! (in [`crate::cluster`]) advances one *wave* at a time: every chip plans
+//! its ready set, the shared clock jumps by the slowest bucket anywhere,
+//! and only then do children — and cut-edge transfers — move. That
+//! barrier is what makes a cross-chip transfer cost an entire wave of
+//! latency and what forces all-idle gaps to be fast-forwarded as
+//! [`crate::cluster::ClusterStats::transfer_stall_cycles`].
 //!
 //! This module replaces the barrier with a classic discrete-event loop
 //! over *components with independent clocks*:
@@ -48,11 +51,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::chip::{ChipStats, Scheduler};
-use crate::cluster::Transfer;
+use crate::chip::Scheduler;
+use crate::cluster::{ClusterConfig, ClusterStats, Transfer};
+use crate::coord::CoordRun;
 use crate::error::{HazardKind, SimError};
 use crate::fault::FaultEvent;
-use crate::service::{critical_paths, Done, GraphRun, JobId, JobOutcome, MultiRun, TenantDelta};
+use crate::service::{critical_paths, Done, JobId, JobOutcome, TenantDelta};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
@@ -75,61 +79,6 @@ pub enum SimMode {
     /// bit-identical to [`SimMode::Wave`]; makespans are usually
     /// shorter on graphs with cross-chip edges.
     Event,
-}
-
-/// The component topology the event loop schedules over — the subset of
-/// [`crate::cluster::ClusterConfig`] the heap needs.
-pub(crate) struct EventTopology {
-    /// Core count per chip, in chip-id order.
-    pub(crate) cores_per_chip: Vec<usize>,
-    /// Inter-chip link bandwidth, words per cycle (serialization rate).
-    pub(crate) link_words_per_cycle: u64,
-    /// Fixed per-hop latency, cycles — pipelined, so it delays the
-    /// payload but does not occupy the link.
-    pub(crate) hop_latency_cycles: u64,
-}
-
-/// Everything one event-mode run produces, in flat global-core order.
-/// The cluster door splits `per_core`/`idle_per_core` back into per-chip
-/// [`ChipStats`]; the chip/service doors use them as-is.
-#[derive(Debug)]
-pub(crate) struct EventRun<T> {
-    /// One output per job, submission order.
-    pub(crate) outputs: Vec<T>,
-    /// `(chip, core-within-chip)` that ran each job (its last,
-    /// non-revoked execution).
-    pub(crate) assignment: Vec<(usize, usize)>,
-    /// Completion-tick rank of each job (see `wave_ends`).
-    pub(crate) wave_of: Vec<usize>,
-    /// Sorted distinct completion ticks — the event-mode reading of the
-    /// wave clock: `wave_ends[wave_of[j]]` is exactly job `j`'s
-    /// completion tick, which keeps the open-loop sojourn anchor
-    /// (`wave_end_cycles[wave_of[j]]`) honest.
-    pub(crate) wave_ends: Vec<u64>,
-    /// Busy-stats delta per global core (revoked executions included —
-    /// the energy was burned).
-    pub(crate) per_core: Vec<ExecStats>,
-    /// Executions per global core (revoked included).
-    pub(crate) jobs_per_core: Vec<u64>,
-    /// Per global core: `makespan − busy − stall` — cycles the core sat
-    /// waiting while some other component worked.
-    pub(crate) idle_per_core: Vec<u64>,
-    /// Final simulated tick (last job completion).
-    pub(crate) makespan: u64,
-    /// Cycles during which *no* core anywhere was busy (transfer/fault
-    /// waits). Per component, `busy + idle + stall = makespan`.
-    pub(crate) stall_cycles: u64,
-    /// Every modeled cross-chip payload movement, in charge order.
-    pub(crate) transfers: Vec<Transfer>,
-    /// Total words moved across links.
-    pub(crate) transferred_words: u64,
-    /// Total modeled link cycles charged (queueing included).
-    pub(crate) transfer_cycles: u64,
-    /// Per-tenant meter deltas (dispatch-charged, like wave mode).
-    pub(crate) per_tenant: Vec<TenantDelta>,
-    /// The run's event log: job spans (which may overlap across
-    /// components), transfers, faults, requeues, idle fast-forwards.
-    pub(crate) events: EventLog,
 }
 
 /// A simulated component owning a clock on the event heap. The derived
@@ -206,8 +155,8 @@ fn push_event(
 
 /// The deterministic event-driven coordinator (the [`SimMode::Event`]
 /// counterpart of the cluster's wave loop). Same backend-agnostic
-/// `dispatch`/`collect` door as the wave coordinators: workers report
-/// real measured [`ExecStats`] deltas, and every dispatch batch is
+/// `dispatch`/`collect` door and result shape as the wave loop: workers
+/// report real measured [`ExecStats`] deltas, and every dispatch batch is
 /// drained before the simulated clock moves, so job durations are known
 /// by the time their completion events are scheduled.
 ///
@@ -217,7 +166,7 @@ fn push_event(
 /// the dying chip at that tick.
 #[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
 pub(crate) fn drive_event<T>(
-    topo: &EventTopology,
+    cfg: &ClusterConfig,
     costs: &[u64],
     transfer_words: &[u64],
     parents: &[Vec<usize>],
@@ -233,38 +182,16 @@ pub(crate) fn drive_event<T>(
     sched: Scheduler,
     mut dispatch: impl FnMut(usize, usize),
     mut collect: impl FnMut() -> Done<T>,
-) -> Result<EventRun<T>, SimError> {
+) -> Result<CoordRun<T>, SimError> {
     let n = costs.len();
-    let chips = topo.cores_per_chip.len();
-    let mut chip_base = vec![0usize; chips];
-    for c in 1..chips {
-        chip_base[c] = chip_base[c - 1] + topo.cores_per_chip[c - 1];
-    }
-    let total_cores: usize = topo.cores_per_chip.iter().sum();
+    let chips = cfg.chips.len();
+    let chip_base = cfg.chip_base();
+    let total_cores = cfg.total_cores();
 
     let mut per_core = vec![ExecStats::default(); total_cores];
     let mut jobs_per_core = vec![0u64; total_cores];
     let mut per_tenant = vec![TenantDelta::default(); weights.len()];
     let mut events = EventLog::new();
-
-    if n == 0 {
-        return Ok(EventRun {
-            outputs: Vec::new(),
-            assignment: Vec::new(),
-            wave_of: Vec::new(),
-            wave_ends: Vec::new(),
-            per_core,
-            jobs_per_core,
-            idle_per_core: vec![0u64; total_cores],
-            makespan: 0,
-            stall_cycles: 0,
-            transfers: Vec::new(),
-            transferred_words: 0,
-            transfer_cycles: 0,
-            per_tenant,
-            events,
-        });
-    }
 
     let priority = critical_paths(costs, children);
     let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
@@ -317,11 +244,11 @@ pub(crate) fn drive_event<T>(
             let from = chip_of[p];
             let to = $to;
             let words = transfer_words[p].max(1);
-            let ser = words.div_ceil(topo.link_words_per_cycle.max(1));
+            let ser = words.div_ceil(cfg.link_words_per_cycle.max(1));
             let link = from * chips + to;
             let start = now.max(link_free[link]);
             link_free[link] = start + ser;
-            let arrival = start + ser + topo.hop_latency_cycles;
+            let arrival = start + ser + cfg.hop_latency_cycles;
             transfers.push(Transfer {
                 parent: JobId::from_index(p),
                 child: JobId::from_index($child),
@@ -381,7 +308,7 @@ pub(crate) fn drive_event<T>(
         }};
     }
 
-    loop {
+    while completed_count < n {
         // Phase 1: fire every event due at the current tick, in
         // (component, seq) order — faults first, then arrivals, then
         // completions.
@@ -407,7 +334,7 @@ pub(crate) fn drive_event<T>(
                     }
                     // Executions in flight on the dying chip are revoked
                     // at their completion tick (the work stays metered).
-                    let range = chip_base[f.chip]..chip_base[f.chip] + topo.cores_per_chip[f.chip];
+                    let range = chip_base[f.chip]..chip_base[f.chip] + cfg.chips[f.chip].cores;
                     for g in range {
                         if let Some(j) = core_job[g] {
                             revoked[j] = true;
@@ -494,7 +421,7 @@ pub(crate) fn drive_event<T>(
             if dead[chip] {
                 continue;
             }
-            for core in 0..topo.cores_per_chip[chip] {
+            for core in 0..cfg.chips[chip].cores {
                 let g = chip_base[chip] + core;
                 if core_job[g].is_some() {
                     continue;
@@ -613,19 +540,22 @@ pub(crate) fn drive_event<T>(
         .map(|t| wave_ends.binary_search(t).expect("own completion tick"))
         .collect();
 
-    Ok(EventRun {
+    Ok(CoordRun {
         outputs,
         assignment,
         wave_of,
         wave_ends,
-        per_core,
-        jobs_per_core,
         idle_per_core,
-        makespan,
-        stall_cycles,
         transfers,
-        transferred_words,
-        transfer_cycles,
+        stats: ClusterStats::from_cores(
+            cfg,
+            &per_core,
+            &jobs_per_core,
+            makespan,
+            transferred_words,
+            transfer_cycles,
+            stall_cycles,
+        ),
         per_tenant,
         events,
     })
@@ -670,114 +600,11 @@ fn pick_ready(
     }
 }
 
-/// Single-chip projection of [`drive_event`]: no links, no faults — what
-/// the chip and service doors drive in [`SimMode::Event`]. Returns the
-/// same [`MultiRun`] shape as the wave coordinator's `drive_multi`, so
-/// the doors package results identically in both modes.
-#[allow(clippy::too_many_arguments)] // mirrors drive_multi's signature
-pub(crate) fn drive_event_single<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    cores: usize,
-    dispatch: impl FnMut(usize, usize),
-    collect: impl FnMut() -> Done<T>,
-) -> Result<MultiRun<T>, SimError> {
-    let topo = EventTopology {
-        cores_per_chip: vec![cores],
-        link_words_per_cycle: 1,
-        hop_latency_cycles: 0,
-    };
-    let n = costs.len();
-    let transfer_words = vec![1u64; n];
-    let mut chip_of = vec![0usize; n];
-    let mut dead = vec![false];
-    let run = drive_event(
-        &topo,
-        costs,
-        &transfer_words,
-        parents,
-        children,
-        &mut chip_of,
-        &mut dead,
-        &[],
-        0,
-        tenant_of,
-        weights,
-        usage,
-        boost,
-        sched,
-        dispatch,
-        collect,
-    )?;
-    let mut aggregate = ExecStats::default();
-    for s in &run.per_core {
-        aggregate.merge(s);
-    }
-    Ok(MultiRun {
-        outputs: run.outputs,
-        assignment: run.assignment.into_iter().map(|(_, core)| core).collect(),
-        wave_of: run.wave_of,
-        waves: run.wave_ends.len(),
-        wave_ends: run.wave_ends,
-        idle_per_core: run.idle_per_core,
-        stats: ChipStats {
-            per_core: run.per_core,
-            jobs_per_core: run.jobs_per_core,
-            makespan_cycles: run.makespan,
-            aggregate,
-        },
-        per_tenant: run.per_tenant,
-    })
-}
-
-/// Single-tenant projection of [`drive_event_single`], mirroring the
-/// wave coordinator's `drive`: what [`crate::chip::LacChip::run_graph`]
-/// and [`crate::service::LacService::submit`] drive in
-/// [`SimMode::Event`].
-pub(crate) fn drive_event_graph<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    sched: Scheduler,
-    cores: usize,
-    dispatch: impl FnMut(usize, usize),
-    collect: impl FnMut() -> Done<T>,
-) -> Result<GraphRun<T>, SimError> {
-    let tenant_of = vec![0usize; costs.len()];
-    let mut usage = [0u64];
-    let run = drive_event_single(
-        costs,
-        parents,
-        children,
-        &tenant_of,
-        &[1],
-        &mut usage,
-        &[u64::MAX],
-        sched,
-        cores,
-        dispatch,
-        collect,
-    )?;
-    Ok(GraphRun {
-        outputs: run.outputs,
-        assignment: run.assignment,
-        wave_of: run.wave_of,
-        waves: run.waves,
-        wave_end_cycles: run.wave_ends,
-        idle_per_core: run.idle_per_core,
-        stats: run.stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::ChipConfig;
+    use crate::config::LacConfig;
     use std::collections::VecDeque;
 
     /// A pure in-memory backend: `dispatch` queues `(core, job)`,
@@ -826,9 +653,23 @@ mod tests {
         (parents, children)
     }
 
+    /// Chips with the given core counts joined by a `bw`-words/cycle,
+    /// `hop`-cycle link.
+    fn topo(cores: &[usize], bw: u64, hop: u64) -> ClusterConfig {
+        ClusterConfig {
+            chips: cores
+                .iter()
+                .map(|&c| ChipConfig::new(c, LacConfig::default()))
+                .collect(),
+            link_words_per_cycle: bw,
+            hop_latency_cycles: hop,
+            sim_mode: SimMode::Event,
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run(
-        topo: &EventTopology,
+        topo: &ClusterConfig,
         costs: &[u64],
         words: &[u64],
         parents: &[Vec<usize>],
@@ -836,7 +677,7 @@ mod tests {
         chip_of: &mut [usize],
         faults: &[FaultEvent],
         dead_chips: usize,
-    ) -> EventRun<usize> {
+    ) -> CoordRun<usize> {
         let n = costs.len();
         let (_q, dispatch, collect) = fake_backend(costs.to_vec());
         let mut dead = vec![false; dead_chips];
@@ -867,11 +708,7 @@ mod tests {
         // Chip 0 runs job 0 then feeds job 2 on chip 1 while chip 0's
         // independent job 1 and the transfer overlap: event-mode
         // makespan is compute-bound, not barrier-bound.
-        let topo = EventTopology {
-            cores_per_chip: vec![1, 1],
-            link_words_per_cycle: 1,
-            hop_latency_cycles: 100,
-        };
+        let topo = topo(&[1, 1], 1, 100);
         let costs = [10, 110, 10];
         let words = [4, 1, 1];
         let mut parents = vec![Vec::new(); 3];
@@ -893,14 +730,18 @@ mod tests {
         // job 2 runs 114..124 on chip 1 while chip 0 still runs job 1
         // (10..120) — the transfer fully overlaps with compute.
         assert_eq!(r.outputs, vec![0, 1, 2]);
-        assert_eq!(r.makespan, 124);
-        assert_eq!(r.transferred_words, 4);
-        assert_eq!(r.transfer_cycles, 104);
+        assert_eq!(r.stats.makespan_cycles, 124);
+        assert_eq!(r.stats.transferred_words, 4);
+        assert_eq!(r.stats.transfer_cycles, 104);
         // Nothing ever went fully idle: job 1 covers the transfer window.
-        assert_eq!(r.stall_cycles, 0);
+        assert_eq!(r.stats.transfer_stall_cycles, 0);
         // busy + idle + stall = makespan on every core.
-        for (g, s) in r.per_core.iter().enumerate() {
-            assert_eq!(s.cycles + r.idle_per_core[g] + r.stall_cycles, r.makespan);
+        let per_core = r.stats.per_chip.iter().flat_map(|c| &c.per_core);
+        for (s, idle) in per_core.zip(&r.idle_per_core) {
+            assert_eq!(
+                s.cycles + idle + r.stats.transfer_stall_cycles,
+                r.stats.makespan_cycles
+            );
         }
     }
 
@@ -908,11 +749,7 @@ mod tests {
     fn same_link_transfers_queue_behind_each_other() {
         // Two cut edges over the same (0 -> 1) link at the same tick:
         // the second serialization window queues behind the first.
-        let topo = EventTopology {
-            cores_per_chip: vec![2, 1],
-            link_words_per_cycle: 1,
-            hop_latency_cycles: 10,
-        };
+        let topo = topo(&[2, 1], 1, 10);
         let costs = [5, 5, 1, 1];
         let words = [8, 8, 1, 1];
         let mut parents = vec![Vec::new(); 4];
@@ -944,10 +781,10 @@ mod tests {
             })
             .collect();
         assert_eq!(ends, vec![23, 31]);
-        assert_eq!(r.makespan, 32);
+        assert_eq!(r.stats.makespan_cycles, 32);
         // Two all-idle gaps: 5..23 (waiting on the first arrival) and
         // 24..31 (chip 1 retired job 2, waiting on the queued arrival).
-        assert_eq!(r.stall_cycles, 18 + 7);
+        assert_eq!(r.stats.transfer_stall_cycles, 18 + 7);
     }
 
     #[test]
@@ -955,11 +792,7 @@ mod tests {
         // One chain on chip 1; chip 1 dies mid-job. The running job is
         // revoked at its completion, requeued to chip 0, and rerun —
         // metered twice, output delivered once.
-        let topo = EventTopology {
-            cores_per_chip: vec![1, 1],
-            link_words_per_cycle: 1,
-            hop_latency_cycles: 0,
-        };
+        let topo = topo(&[1, 1], 1, 0);
         let costs = [10, 10];
         let words = [1, 1];
         let (parents, children) = chain_graph(&costs);
@@ -987,17 +820,13 @@ mod tests {
         });
         assert_eq!(discarded, 1);
         // Revoked attempt 0..10 on chip 1, rerun 10..20, chain 20..30.
-        assert_eq!(r.makespan, 30);
-        assert_eq!(r.jobs_per_core.iter().sum::<u64>(), 3);
+        assert_eq!(r.stats.makespan_cycles, 30);
+        assert_eq!(r.stats.jobs(), 3);
     }
 
     #[test]
     fn all_dead_is_a_hard_error_and_empty_graphs_are_free() {
-        let topo = EventTopology {
-            cores_per_chip: vec![1],
-            link_words_per_cycle: 1,
-            hop_latency_cycles: 0,
-        };
+        let topo = topo(&[1], 1, 0);
         let (_q, dispatch, collect) = fake_backend(vec![4]);
         let mut dead = vec![false];
         let mut usage = vec![0u64];
@@ -1023,7 +852,7 @@ mod tests {
         assert_eq!(err.kind, HazardKind::AllChipsDead { chips: 1 });
 
         let empty = run(&topo, &[], &[], &[], &[], &mut [], &[], 1);
-        assert_eq!(empty.makespan, 0);
+        assert_eq!(empty.stats.makespan_cycles, 0);
         assert!(empty.outputs.is_empty());
     }
 }

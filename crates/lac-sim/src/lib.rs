@@ -26,6 +26,7 @@ pub mod chip;
 pub mod cluster;
 pub mod compile;
 pub mod config;
+mod coord;
 pub mod core;
 pub mod dynamic;
 pub mod engine;
@@ -33,7 +34,6 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod isa;
-pub mod lap;
 pub mod service;
 pub mod stats;
 pub mod trace;
@@ -55,7 +55,6 @@ pub use error::SimError;
 pub use event::SimMode;
 pub use fault::{FaultEvent, FaultPlan};
 pub use isa::{CmpUpdate, ExtOp, PeInstr, Program, ProgramBuilder, Source, Step};
-pub use lap::{Lap, LapRunSummary};
 pub use service::{
     plan_wave, plan_wave_tenanted, plan_wave_tenanted_slo, GraphCompletion, GraphRun, GraphTicket,
     JobGraph, JobId, LacService, Rejected, ServiceRound, ServiceSession, TenantConfig, TenantId,

@@ -13,15 +13,21 @@
 //!   on previously added jobs (`add_after` / `add_dep`). Because an edge
 //!   can only point backwards, the graph is acyclic by construction. A job
 //!   becomes *ready* only when all its parents completed.
-//! * **Deterministic wave dispatch** — execution proceeds in waves over
-//!   the ready set. Each wave is planned up front from cost hints by the
-//!   [`Scheduler`] policy ([`plan_wave`]): `Fifo` round-robins in job-id
-//!   order, `LeastLoaded` greedily balances estimated load, and
-//!   [`Scheduler::CriticalPath`] serves the longest remaining cost-hint
-//!   path first (classic critical-path list scheduling — on a flat graph
-//!   it degenerates to longest-processing-time-first). Planning never
-//!   looks at host timing, so a graph run is reproducible bit-for-bit no
-//!   matter how the OS schedules the workers.
+//! * **Deterministic dispatch** — every door hands its jobs to one
+//!   coordinator entry (`crate::coord::coordinate`); to it a chip or a
+//!   service is simply a one-chip cluster, so [`crate::chip::LacChip`],
+//!   [`LacService`] and [`crate::cluster::LacCluster`] share one wave loop
+//!   and one discrete-event core ([`crate::event`], picked by
+//!   [`crate::event::SimMode`]). In the default wave mode execution
+//!   proceeds in waves over the ready set, each planned up front from
+//!   cost hints by the [`Scheduler`] policy ([`plan_wave`]): `Fifo`
+//!   round-robins in job-id order, `LeastLoaded` greedily balances
+//!   estimated load, and [`Scheduler::CriticalPath`] serves the longest
+//!   remaining cost-hint path first (classic critical-path list
+//!   scheduling — on a flat graph it degenerates to
+//!   longest-processing-time-first). Planning never looks at host timing,
+//!   so a graph run is reproducible bit-for-bit no matter how the OS
+//!   schedules the workers.
 //! * **Simulated clock with idle accounting** — a wave's simulated span is
 //!   its slowest core's bucket; cores with lighter buckets accrue idle
 //!   cycles. The makespan is the sum of wave spans, so chip utilization
@@ -40,7 +46,7 @@
 //!   charges each graph's total cost hint against the tenant's in-flight
 //!   budget and bounces over-budget submissions with *deterministic
 //!   backpressure* ([`Rejected`] hands the graph back); admitted graphs
-//!   from every tenant then interleave wave-by-wave in one
+//!   from every tenant then interleave in one
 //!   [`LacService::run_admitted`] round. The
 //!   [`Scheduler::FairShare`](crate::chip::Scheduler) policy dispatches
 //!   one job per core per wave, picking by weight-normalized accumulated
@@ -49,7 +55,11 @@
 //!   reruns and host interleavings. Per-tenant meters (throughput,
 //!   wait-vs-run, busy stats for
 //!   `lac_power::ChipEnergyModel::attribute`) accumulate in each
-//!   [`TenantSession`].
+//!   [`TenantSession`]. Tenants, admission and the round skeleton live
+//!   in one crate-internal `Tenancy` that the service and the cluster
+//!   both own, so tenancy behaves identically at every deployment scale
+//!   — including on failure: a round's admitted cost is released on
+//!   every exit, a panicking job's unwind included.
 //!
 //! Data flows between dependent jobs through whatever shared state the
 //! jobs close over (e.g. an `Arc<Mutex<…>>` — see `lac-kernels`'
@@ -58,11 +68,13 @@
 //! order, so shared-state workloads stay bit-deterministic.
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
+use crate::cluster::ClusterConfig;
 use crate::compile::ProgramCache;
+use crate::coord::{coordinate, coordinate_graph, CoordRun};
 use crate::engine::LacEngine;
 use crate::error::SimError;
-use crate::event::{drive_event_graph, drive_event_single, SimMode};
 use crate::stats::ExecStats;
+use crate::trace::EventLog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -466,7 +478,7 @@ pub struct GraphRun<T> {
     pub stats: ChipStats,
 }
 
-/// Per-tenant meter deltas of one [`drive_multi`] round.
+/// Per-tenant meter deltas of one coordinated run.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TenantDelta {
     /// Busy stats of this tenant's completed jobs.
@@ -478,265 +490,6 @@ pub(crate) struct TenantDelta {
     pub(crate) wait_cycles: u64,
     /// Cost hints this tenant dispatched — the fair-share usage currency.
     pub(crate) cost_dispatched: u64,
-}
-
-/// Everything one multi-tenant round produces (the tenant-aware superset
-/// of [`GraphRun`], which [`drive`] projects down to).
-pub(crate) struct MultiRun<T> {
-    pub(crate) outputs: Vec<T>,
-    pub(crate) assignment: Vec<usize>,
-    pub(crate) wave_of: Vec<usize>,
-    pub(crate) waves: usize,
-    pub(crate) wave_ends: Vec<u64>,
-    pub(crate) idle_per_core: Vec<u64>,
-    pub(crate) stats: ChipStats,
-    pub(crate) per_tenant: Vec<TenantDelta>,
-}
-
-/// Collect exactly `dispatched` job reports for one wave, folding
-/// completions into the per-core and per-tenant meters and `outputs`, and
-/// returning the completed job indices. Among observed failures, the job
-/// earliest by dispatch slot (core index, bucket position) wins, whatever
-/// order the host delivered the reports in; panics are re-raised first
-/// (they are harness bugs, not schedule rejections). Once this returns,
-/// nothing is in flight, so the backend stays usable. Shared by the
-/// chip/service coordinator ([`drive_multi`]) and the cluster coordinator
-/// (`crate::cluster`), so failure and metering semantics can never drift
-/// between deployment layers.
-///
-/// `job_cycles[j]` receives job `j`'s own busy cycles on completion —
-/// the per-job span the cluster coordinator's event log reconstructs
-/// start/end ticks from (a core runs its bucket in position order, so a
-/// job's start is the wave's start plus its bucket predecessors' spans).
-#[allow(clippy::too_many_arguments)] // the wave's full accounting context
-pub(crate) fn collect_wave<T>(
-    dispatched: usize,
-    mut collect: impl FnMut() -> Done<T>,
-    dispatch_slot: &[(usize, usize)],
-    tenant_of: &[usize],
-    wave_cycles: &mut [u64],
-    per_core: &mut [ExecStats],
-    jobs_per_core: &mut [u64],
-    per_tenant: &mut [TenantDelta],
-    outputs: &mut [Option<T>],
-    job_cycles: &mut [u64],
-) -> Result<Vec<usize>, SimError> {
-    let mut completed: Vec<usize> = Vec::with_capacity(dispatched);
-    let mut first_err: Option<((usize, usize), SimError)> = None;
-    let mut first_panic: Option<((usize, usize), String)> = None;
-    for _ in 0..dispatched {
-        let done = collect();
-        let slot = dispatch_slot[done.job];
-        match done.outcome {
-            JobOutcome::Completed(out, delta) => {
-                job_cycles[done.job] = delta.cycles;
-                wave_cycles[done.core] += delta.cycles;
-                per_core[done.core].merge(&delta);
-                jobs_per_core[done.core] += 1;
-                let t = tenant_of[done.job];
-                per_tenant[t].busy.merge(&delta);
-                per_tenant[t].jobs += 1;
-                outputs[done.job] = Some(out);
-                completed.push(done.job);
-            }
-            // Skipped at the job boundary after a peer's failure: no
-            // simulated work happened.
-            JobOutcome::Skipped => {}
-            JobOutcome::Failed(e) => {
-                if first_err.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_err = Some((slot, e));
-                }
-            }
-            JobOutcome::Panicked(msg) => {
-                if first_panic.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_panic = Some((slot, msg));
-                }
-            }
-        }
-    }
-    if let Some(((core, pos), msg)) = first_panic {
-        panic!("job panicked on core {core} (bucket position {pos}): {msg}");
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok(completed)
-}
-
-/// The deterministic coordinator: plan waves, dispatch buckets through
-/// `dispatch`, collect exactly one [`Done`] per dispatched job via
-/// `collect`, advance the simulated clock, release children. Backend
-/// agnostic — `dispatch`/`collect` hide whether workers are scoped
-/// borrows or persistent threads.
-///
-/// Tenant-aware: `tenant_of` maps each job to a tenant, and `usage` (the
-/// accumulated fair-share deficit counters, indexed like `weights`) is
-/// charged as jobs dispatch — in place, so [`Scheduler::FairShare`]'s
-/// quantum waves see usage evolve *within* the round and the counters
-/// carry across rounds. The quantum-capped policy leaves undispatched
-/// ready jobs in the ready set for later waves; the full-dispatch
-/// policies drain it every wave, exactly as before.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-pub(crate) fn drive_multi<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    cores: usize,
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<MultiRun<T>, SimError> {
-    let n = costs.len();
-    let priority = critical_paths(costs, children);
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
-    let mut ready: Vec<usize> = (0..n).filter(|&j| indegree[j] == 0).collect();
-
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![0usize; n];
-    let mut wave_of = vec![0usize; n];
-    let mut ready_clock = vec![0u64; n];
-    let mut in_wave = vec![false; n];
-    let mut dispatch_slot = vec![(0usize, 0usize); n]; // (core, position in bucket)
-    let mut per_core = vec![ExecStats::default(); cores];
-    let mut jobs_per_core = vec![0u64; cores];
-    let mut idle_per_core = vec![0u64; cores];
-    let mut per_tenant = vec![TenantDelta::default(); weights.len()];
-    let mut job_cycles = vec![0u64; n];
-    let mut makespan = 0u64;
-    let mut waves = 0usize;
-    let mut wave_ends: Vec<u64> = Vec::new();
-
-    while !ready.is_empty() {
-        let buckets = match sched {
-            Scheduler::FairShare => plan_wave_tenanted_slo(
-                &ready, costs, &priority, tenant_of, usage, weights, boost, cores,
-            ),
-            _ => plan_wave(sched, &ready, costs, &priority, cores),
-        };
-        let mut dispatched = 0usize;
-        for (core, bucket) in buckets.iter().enumerate() {
-            for (pos, &j) in bucket.iter().enumerate() {
-                assignment[j] = core;
-                wave_of[j] = waves;
-                in_wave[j] = true;
-                dispatch_slot[j] = (core, pos);
-                let t = tenant_of[j];
-                per_tenant[t].wait_cycles += makespan - ready_clock[j];
-                per_tenant[t].cost_dispatched += costs[j].max(1);
-                usage[t] += costs[j].max(1);
-                dispatch(core, j);
-                dispatched += 1;
-            }
-        }
-        waves += 1;
-
-        let mut wave_cycles = vec![0u64; cores];
-        // (Which peers skipped vs ran after the abort flag rose is
-        // host-timing dependent, so with several failing jobs in one wave
-        // the observed failure set itself can vary; the slot rule in
-        // `collect_wave` picks deterministically among the observed.)
-        let completed = collect_wave(
-            dispatched,
-            &mut collect,
-            &dispatch_slot,
-            tenant_of,
-            &mut wave_cycles,
-            &mut per_core,
-            &mut jobs_per_core,
-            &mut per_tenant,
-            &mut outputs,
-            &mut job_cycles,
-        )?;
-
-        let span = wave_cycles.iter().copied().max().unwrap_or(0);
-        for c in 0..cores {
-            idle_per_core[c] += span - wave_cycles[c];
-        }
-        makespan += span;
-        wave_ends.push(makespan);
-
-        // Undispatched ready jobs (the quantum-capped policy's backlog)
-        // stay ready; children released by this wave join them.
-        let mut next: Vec<usize> = ready.iter().copied().filter(|&j| !in_wave[j]).collect();
-        for &j in &completed {
-            for &child in &children[j] {
-                indegree[child] -= 1;
-                if indegree[child] == 0 {
-                    ready_clock[child] = makespan;
-                    next.push(child);
-                }
-            }
-        }
-        next.sort_unstable();
-        ready = next;
-    }
-
-    let mut aggregate = ExecStats::default();
-    for s in &per_core {
-        aggregate.merge(s);
-    }
-    let outputs = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect();
-    Ok(MultiRun {
-        outputs,
-        assignment,
-        wave_of,
-        waves,
-        wave_ends,
-        idle_per_core,
-        stats: ChipStats {
-            per_core,
-            jobs_per_core,
-            makespan_cycles: makespan,
-            aggregate,
-        },
-        per_tenant,
-    })
-}
-
-/// Single-tenant projection of [`drive_multi`]: every job belongs to one
-/// anonymous tenant with fresh usage — what [`LacChip::run_graph`]
-/// (`crate::chip`) and [`LacService::submit`] drive.
-pub(crate) fn drive<T>(
-    costs: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    sched: Scheduler,
-    cores: usize,
-    dispatch: impl FnMut(usize, usize),
-    collect: impl FnMut() -> Done<T>,
-) -> Result<GraphRun<T>, SimError> {
-    let tenant_of = vec![0usize; costs.len()];
-    let mut usage = [0u64];
-    let run = drive_multi(
-        costs,
-        parents,
-        children,
-        &tenant_of,
-        &[1],
-        &mut usage,
-        &[u64::MAX],
-        sched,
-        cores,
-        dispatch,
-        collect,
-    )?;
-    Ok(GraphRun {
-        outputs: run.outputs,
-        assignment: run.assignment,
-        wave_of: run.wave_of,
-        waves: run.waves,
-        wave_end_cycles: run.wave_ends,
-        idle_per_core: run.idle_per_core,
-        stats: run.stats,
-    })
 }
 
 /// Messages down a worker's submission channel. `job` indexes into
@@ -761,12 +514,6 @@ impl TenantId {
     /// Position of the tenant in registration order.
     pub fn index(self) -> usize {
         self.0
-    }
-
-    /// Crate-internal constructor (the cluster front door registers
-    /// tenants through the same dense-id scheme).
-    pub(crate) fn from_index(i: usize) -> Self {
-        TenantId(i)
     }
 }
 
@@ -908,52 +655,11 @@ impl<J> std::fmt::Debug for Rejected<J> {
     }
 }
 
-/// One admitted graph waiting for the next round (shared by the service
-/// and cluster front doors).
-pub(crate) struct PendingGraph<J> {
-    pub(crate) ticket: GraphTicket,
-    pub(crate) graph: JobGraph<J>,
-    pub(crate) cost: u64,
-}
-
-/// The shared admission decision: charge `graph`'s total cost hint against
-/// tenant `t`'s in-flight budget, bouncing over-budget submissions with
-/// deterministic backpressure. Both the single-chip [`LacService::enqueue`]
-/// and the multi-chip [`crate::cluster::LacCluster::enqueue`] front doors
-/// run exactly this function, so admission behaves identically at every
-/// deployment scale.
-pub(crate) fn admit<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    next_seq: &mut u64,
-    t: TenantId,
+/// One admitted graph waiting for the next round.
+struct PendingGraph<J> {
+    ticket: GraphTicket,
     graph: JobGraph<J>,
-) -> Result<PendingGraph<J>, Rejected<J>> {
-    let cost = graph.total_cost();
-    let (cfg, session) = &mut tenants[t.0];
-    if let Some(budget) = cfg.max_inflight_cost {
-        if session.inflight_cost + cost > budget {
-            session.graphs_rejected += 1;
-            return Err(Rejected {
-                graph,
-                tenant: t,
-                graph_cost: cost,
-                inflight_cost: session.inflight_cost,
-                budget,
-            });
-        }
-    }
-    session.inflight_cost += cost;
-    session.graphs_admitted += 1;
-    let ticket = GraphTicket {
-        tenant: t,
-        seq: *next_seq,
-    };
-    *next_seq += 1;
-    Ok(PendingGraph {
-        ticket,
-        graph,
-        cost,
-    })
+    cost: u64,
 }
 
 /// The admitted graphs of one round fused into a single job pool: jobs
@@ -974,7 +680,7 @@ pub(crate) struct FusedPool<J: ChipJob> {
 }
 
 impl<J: ChipJob> FusedPool<J> {
-    pub(crate) fn new(pending: Vec<PendingGraph<J>>) -> Self {
+    fn new(pending: Vec<PendingGraph<J>>) -> Self {
         let mut pool = FusedPool {
             costs: Vec::new(),
             transfer_words: Vec::new(),
@@ -1016,7 +722,7 @@ impl<J: ChipJob> FusedPool<J> {
     }
 
     /// Per-tenant pending cost of this round, indexed by tenant id.
-    pub(crate) fn backlog(&self, tenants: usize) -> Vec<u64> {
+    fn backlog(&self, tenants: usize) -> Vec<u64> {
         let mut backlog = vec![0u64; tenants];
         for (g, &cost) in self.graph_costs.iter().enumerate() {
             backlog[self.tickets[g].tenant.0] += cost;
@@ -1052,40 +758,152 @@ impl<J: ChipJob> FusedPool<J> {
     }
 }
 
-/// Drain a round's admitted cost out of its tenants' in-flight meters —
-/// the error-path settlement: the round's graphs are gone, but their
-/// admitted cost must not pin the tenants' budgets forever. Shared by the
-/// service and cluster `run_admitted` doors.
-pub(crate) fn drain_inflight<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    pool: &FusedPool<J>,
-) {
-    for (g, &cost) in pool.graph_costs.iter().enumerate() {
-        tenants[pool.tickets[g].tenant.0].1.inflight_cost -= cost;
+/// The multi-tenant door that [`LacService`] and
+/// [`crate::cluster::LacCluster`] both own: registered tenants, their
+/// admitted-but-unrun graphs, and the round skeleton (take pending, fuse,
+/// cap banked credit, run, settle). Admission and tenant accounting are
+/// therefore one implementation at every deployment scale; the doors
+/// differ only in how they run a fused pool and fold its session meters.
+pub(crate) struct Tenancy<J> {
+    tenants: Vec<(TenantConfig, TenantSession)>,
+    pending: Vec<PendingGraph<J>>,
+    next_seq: u64,
+}
+
+impl<J> Default for Tenancy<J> {
+    fn default() -> Self {
+        Self {
+            tenants: Vec::new(),
+            pending: Vec::new(),
+            next_seq: 0,
+        }
     }
 }
 
-/// Fold a completed round into its tenants' lifetime meters: busy stats,
-/// job counts, wait cycles and fair-share usage from the round's
-/// [`TenantDelta`]s, plus per-graph completion counts and the in-flight
-/// drain. Shared by the service and cluster `run_admitted` doors, so
-/// tenant accounting behaves identically at every deployment scale.
-pub(crate) fn settle_round<J: ChipJob>(
-    tenants: &mut [(TenantConfig, TenantSession)],
-    pool: &FusedPool<J>,
-    per_tenant: &[TenantDelta],
-) {
-    for (t, delta) in per_tenant.iter().enumerate() {
-        let session = &mut tenants[t].1;
-        session.busy.merge(&delta.busy);
-        session.jobs_run += delta.jobs;
-        session.wait_cycles += delta.wait_cycles;
-        session.cost_completed += delta.cost_dispatched;
+impl<J: ChipJob> Tenancy<J> {
+    pub(crate) fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
+        self.tenants.push((cfg, TenantSession::default()));
+        TenantId(self.tenants.len() - 1)
     }
-    for (g, &cost) in pool.graph_costs.iter().enumerate() {
-        let session = &mut tenants[pool.tickets[g].tenant.0].1;
-        session.inflight_cost -= cost;
-        session.graphs_completed += 1;
+
+    pub(crate) fn num_tenants(&self) -> usize {
+        self.tenants.len()
+    }
+
+    pub(crate) fn config(&self, t: TenantId) -> &TenantConfig {
+        &self.tenants[t.0].0
+    }
+
+    pub(crate) fn session(&self, t: TenantId) -> &TenantSession {
+        &self.tenants[t.0].1
+    }
+
+    pub(crate) fn busy_stats(&self) -> Vec<ExecStats> {
+        self.tenants.iter().map(|(_, s)| s.busy).collect()
+    }
+
+    pub(crate) fn pending_graphs(&self) -> usize {
+        self.pending.len()
+    }
+
+    pub(crate) fn pending_cost(&self) -> u64 {
+        self.pending.iter().map(|p| p.cost).sum()
+    }
+
+    /// The admission decision: charge `graph`'s total cost hint against
+    /// tenant `t`'s in-flight budget, bouncing over-budget submissions
+    /// with deterministic backpressure.
+    pub(crate) fn enqueue(
+        &mut self,
+        t: TenantId,
+        graph: JobGraph<J>,
+    ) -> Result<GraphTicket, Rejected<J>> {
+        let cost = graph.total_cost();
+        let (cfg, session) = &mut self.tenants[t.0];
+        if let Some(budget) = cfg.max_inflight_cost {
+            if session.inflight_cost + cost > budget {
+                session.graphs_rejected += 1;
+                return Err(Rejected {
+                    graph,
+                    tenant: t,
+                    graph_cost: cost,
+                    inflight_cost: session.inflight_cost,
+                    budget,
+                });
+            }
+        }
+        session.inflight_cost += cost;
+        session.graphs_admitted += 1;
+        let ticket = GraphTicket {
+            tenant: t,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        self.pending.push(PendingGraph {
+            ticket,
+            graph,
+            cost,
+        });
+        Ok(ticket)
+    }
+
+    /// One round: fuse every admitted graph into a pool, cap banked
+    /// fair-share credit, hand the pool with the tenants' `weights` and
+    /// `usage` deficits to `run`, and fold a completed run into the
+    /// tenant meters. Whatever `run` returns alongside the coordinated
+    /// run (`X`) is passed through. The round's admitted cost drains from
+    /// the tenants' in-flight meters on *every* exit — success, a typed
+    /// error, or a job panic unwinding through `run` — so no failure can
+    /// pin a tenant's admission budget.
+    pub(crate) fn run_round<X, T>(
+        &mut self,
+        boost: &[u64],
+        run: impl FnOnce(&FusedPool<J>, &[u64], &mut [u64]) -> Result<(X, CoordRun<T>), SimError>,
+    ) -> Result<(FusedPool<J>, X, CoordRun<T>), SimError> {
+        assert_eq!(
+            boost.len(),
+            self.tenants.len(),
+            "one boost slack per registered tenant"
+        );
+        let pool = FusedPool::new(std::mem::take(&mut self.pending));
+        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
+        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
+        cap_banked_credit(&mut usage, &weights, &pool.backlog(self.tenants.len()));
+
+        let release = ReleaseInflight {
+            tenants: &mut self.tenants,
+            pool: &pool,
+        };
+        let (extra, run) = run(&pool, &weights, &mut usage)?;
+        for (t, delta) in run.per_tenant.iter().enumerate() {
+            let session = &mut release.tenants[t].1;
+            session.busy.merge(&delta.busy);
+            session.jobs_run += delta.jobs;
+            session.wait_cycles += delta.wait_cycles;
+            session.cost_completed += delta.cost_dispatched;
+        }
+        for ticket in &pool.tickets {
+            release.tenants[ticket.tenant.0].1.graphs_completed += 1;
+        }
+        drop(release);
+        Ok((pool, extra, run))
+    }
+}
+
+/// Drains a round's admitted cost out of its tenants' in-flight meters
+/// when dropped — the one settlement every round exit path runs.
+struct ReleaseInflight<'a, J: ChipJob> {
+    tenants: &'a mut [(TenantConfig, TenantSession)],
+    pool: &'a FusedPool<J>,
+}
+
+impl<J: ChipJob> Drop for ReleaseInflight<'_, J> {
+    fn drop(&mut self) {
+        for (ticket, &cost) in self.pool.tickets.iter().zip(&self.pool.graph_costs) {
+            let session = &mut self.tenants[ticket.tenant.0].1;
+            // Saturating: a drop may run during an unwind, where a panic aborts.
+            session.inflight_cost = session.inflight_cost.saturating_sub(cost);
+        }
     }
 }
 
@@ -1097,7 +915,7 @@ pub(crate) fn settle_round<J: ChipJob>(
 /// across rounds. The floor is recomputed per round from the live meters
 /// (which stay truthful), so it is still a pure function of the
 /// enqueue/run history.
-pub(crate) fn cap_banked_credit(usage: &mut [u64], weights: &[u64], backlog: &[u64]) {
+fn cap_banked_credit(usage: &mut [u64], weights: &[u64], backlog: &[u64]) {
     let busiest = (0..usage.len())
         .filter(|&t| backlog[t] > 0)
         .max_by(|&a, &b| {
@@ -1147,6 +965,11 @@ pub struct ServiceRound<T> {
     /// Merged busy breakdown; `makespan_cycles` is the round's simulated
     /// span with every admitted graph interleaved.
     pub stats: ChipStats,
+    /// The round's observability log (job spans, idle fast-forwards) on
+    /// the round-relative simulated clock — export with
+    /// [`EventLog::to_chrome_trace`], or rebase and merge rounds with
+    /// [`EventLog::shift`].
+    pub events: EventLog,
 }
 
 /// Lifetime meters of a [`LacService`], accumulated across every
@@ -1166,6 +989,17 @@ pub struct ServiceSession {
 }
 
 impl ServiceSession {
+    /// Fold one completed submission or round of `graphs` graphs into the
+    /// lifetime meters (its makespan advances the clock once).
+    fn record(&mut self, stats: &ChipStats, graphs: u64) {
+        for (c, core) in stats.per_core.iter().enumerate() {
+            self.per_core[c].merge(core);
+            self.jobs_per_core[c] += stats.jobs_per_core[c];
+        }
+        self.clock_cycles += stats.makespan_cycles;
+        self.graphs_run += graphs;
+    }
+
     /// Jobs completed over the service lifetime.
     pub fn jobs_run(&self) -> u64 {
         self.jobs_per_core.iter().sum()
@@ -1233,9 +1067,7 @@ pub struct LacService<J: ChipJob + 'static> {
     handles: Vec<JoinHandle<()>>,
     abort: Arc<AtomicBool>,
     session: ServiceSession,
-    tenants: Vec<(TenantConfig, TenantSession)>,
-    pending: Vec<PendingGraph<J>>,
-    next_seq: u64,
+    tenancy: Tenancy<J>,
     program_cache: ProgramCache,
 }
 
@@ -1280,9 +1112,7 @@ impl<J: ChipJob + 'static> LacService<J> {
                 clock_cycles: 0,
                 graphs_run: 0,
             },
-            tenants: Vec::new(),
-            pending: Vec::new(),
-            next_seq: 0,
+            tenancy: Tenancy::default(),
             program_cache,
         }
     }
@@ -1319,44 +1149,24 @@ impl<J: ChipJob + 'static> LacService<J> {
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
         self.abort.store(false, Ordering::Relaxed);
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
         let graph = Arc::new(graph);
-        let dispatch = |core: usize, job: usize| {
-            self.txs[core]
-                .send(WorkerMsg::Run {
-                    graph: Arc::clone(&graph),
-                    job,
-                    tag: job,
-                })
-                .expect("service worker hung up");
-        };
-        let collect = || self.done_rx.recv().expect("service worker hung up");
-        let run = match self.cfg.sim_mode {
-            SimMode::Wave => drive(
-                &costs,
-                &graph.parents,
-                &graph.children,
-                sched,
-                self.txs.len(),
-                dispatch,
-                collect,
-            )?,
-            SimMode::Event => drive_event_graph(
-                &costs,
-                &graph.parents,
-                &graph.children,
-                sched,
-                self.txs.len(),
-                dispatch,
-                collect,
-            )?,
-        };
-        for c in 0..self.session.per_core.len() {
-            self.session.per_core[c].merge(&run.stats.per_core[c]);
-            self.session.jobs_per_core[c] += run.stats.jobs_per_core[c];
-        }
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += 1;
+        let txs = &self.txs;
+        let run = coordinate_graph(
+            &self.cfg,
+            &graph,
+            sched,
+            |core, job| {
+                txs[core]
+                    .send(WorkerMsg::Run {
+                        graph: Arc::clone(&graph),
+                        job,
+                        tag: job,
+                    })
+                    .expect("service worker hung up")
+            },
+            || self.done_rx.recv().expect("service worker hung up"),
+        )?;
+        self.session.record(&run.stats, 1);
         Ok(run)
     }
 
@@ -1364,40 +1174,38 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// permanent for the service's lifetime; their ids index
     /// [`LacService::tenant_session`] and the fair-share deficit counters.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
-        let id = TenantId(self.tenants.len());
-        self.tenants.push((cfg, TenantSession::default()));
-        id
+        self.tenancy.add_tenant(cfg)
     }
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+        self.tenancy.num_tenants()
     }
 
     /// The policy knobs tenant `t` registered with.
     pub fn tenant_config(&self, t: TenantId) -> &TenantConfig {
-        &self.tenants[t.0].0
+        self.tenancy.config(t)
     }
 
     /// The tenant's lifetime meters (updated only by completed rounds).
     pub fn tenant_session(&self, t: TenantId) -> &TenantSession {
-        &self.tenants[t.0].1
+        self.tenancy.session(t)
     }
 
     /// Every tenant's busy stats in registration order — the shape
     /// `lac_power::ChipEnergyModel::attribute` prices.
     pub fn tenant_busy_stats(&self) -> Vec<ExecStats> {
-        self.tenants.iter().map(|(_, s)| s.busy).collect()
+        self.tenancy.busy_stats()
     }
 
     /// Graphs admitted and waiting for the next [`LacService::run_admitted`].
     pub fn pending_graphs(&self) -> usize {
-        self.pending.len()
+        self.tenancy.pending_graphs()
     }
 
     /// Total admitted-but-unrun cost currently queued, across tenants.
     pub fn pending_cost(&self) -> u64 {
-        self.pending.iter().map(|p| p.cost).sum()
+        self.tenancy.pending_cost()
     }
 
     /// Submit a graph through tenant `t`'s admission door.
@@ -1411,10 +1219,7 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// [`GraphTicket::seq`]) for the next [`LacService::run_admitted`]
     /// round; in-flight cost drains when their round completes.
     pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        let pending = admit(&mut self.tenants, &mut self.next_seq, t, graph)?;
-        let ticket = pending.ticket;
-        self.pending.push(pending);
-        Ok(ticket)
+        self.tenancy.enqueue(t, graph)
     }
 
     /// Run every admitted graph to completion in one interleaved round:
@@ -1438,7 +1243,7 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// in-flight cost drains, and neither the service session nor the
     /// tenant meters advance — `Err` means "the round did not complete".
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ServiceRound<J::Output>, SimError> {
-        let boost = vec![u64::MAX; self.tenants.len()];
+        let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
     }
 
@@ -1455,105 +1260,53 @@ impl<J: ChipJob + 'static> LacService<J> {
         sched: Scheduler,
         boost: &[u64],
     ) -> Result<ServiceRound<J::Output>, SimError> {
-        assert_eq!(
-            boost.len(),
-            self.tenants.len(),
-            "one boost slack per registered tenant"
-        );
-        let pending = std::mem::take(&mut self.pending);
-        let cores = self.txs.len();
-        if pending.is_empty() {
-            return Ok(ServiceRound {
-                graphs: Vec::new(),
-                waves: 0,
-                wave_end_cycles: Vec::new(),
-                idle_per_core: vec![0; cores],
-                stats: ChipStats {
-                    per_core: vec![ExecStats::default(); cores],
-                    jobs_per_core: vec![0; cores],
-                    makespan_cycles: 0,
-                    aggregate: ExecStats::default(),
-                },
-            });
-        }
-        self.abort.store(false, Ordering::Relaxed);
-
-        // Fuse the admitted graphs into one job pool with per-job tenant
-        // tags; the pool's owner map recovers each graph's slice
-        // afterwards.
-        let pool = FusedPool::new(pending);
-
-        let weights: Vec<u64> = self.tenants.iter().map(|(c, _)| c.weight.max(1)).collect();
-        let mut usage: Vec<u64> = self.tenants.iter().map(|(_, s)| s.cost_completed).collect();
-        cap_banked_credit(&mut usage, &weights, &pool.backlog(self.tenants.len()));
-
-        let txs = &self.txs;
-        let done_rx = &self.done_rx;
-        let dispatch = |core: usize, job: usize| {
-            let (g, local) = pool.owner[job];
-            txs[core]
-                .send(WorkerMsg::Run {
-                    graph: Arc::clone(&pool.graphs[g]),
-                    job: local,
-                    tag: job,
-                })
-                .expect("service worker hung up");
-        };
-        let collect = || done_rx.recv().expect("service worker hung up");
-        let run = match self.cfg.sim_mode {
-            SimMode::Wave => drive_multi(
+        // The service is a one-chip cluster to the coordinator.
+        let chip = ClusterConfig::homogeneous(1, self.cfg);
+        let (txs, done_rx, abort) = (&self.txs, &self.done_rx, &self.abort);
+        let (pool, (), mut run) = self.tenancy.run_round(boost, |pool, weights, usage| {
+            abort.store(false, Ordering::Relaxed);
+            let n = pool.costs.len();
+            let dispatch = |core: usize, job: usize| {
+                let (g, local) = pool.owner[job];
+                txs[core]
+                    .send(WorkerMsg::Run {
+                        graph: Arc::clone(&pool.graphs[g]),
+                        job: local,
+                        tag: job,
+                    })
+                    .expect("service worker hung up");
+            };
+            let collect = || done_rx.recv().expect("service worker hung up");
+            coordinate(
+                &chip,
                 &pool.costs,
+                &pool.transfer_words,
                 &pool.parents,
                 &pool.children,
+                &mut vec![0; n],
+                &mut [false],
+                &[],
+                0,
                 &pool.tenant_of,
-                &weights,
-                &mut usage,
+                weights,
+                usage,
                 boost,
                 sched,
-                cores,
                 dispatch,
                 collect,
-            ),
-            SimMode::Event => drive_event_single(
-                &pool.costs,
-                &pool.parents,
-                &pool.children,
-                &pool.tenant_of,
-                &weights,
-                &mut usage,
-                boost,
-                sched,
-                cores,
-                dispatch,
-                collect,
-            ),
-        };
-        let run = match run {
-            Ok(run) => run,
-            Err(e) => {
-                drain_inflight(&mut self.tenants, &pool);
-                return Err(e);
-            }
-        };
-
-        // Fold the round into the service session (one clock advance — the
-        // graphs ran interleaved) and the per-tenant meters.
-        for c in 0..cores {
-            self.session.per_core[c].merge(&run.stats.per_core[c]);
-            self.session.jobs_per_core[c] += run.stats.jobs_per_core[c];
-        }
-        self.session.clock_cycles += run.stats.makespan_cycles;
-        self.session.graphs_run += pool.graphs.len() as u64;
-        settle_round(&mut self.tenants, &pool, &run.per_tenant);
-
-        // Slice the fused outputs back into per-graph completions.
-        let completions = pool.completions(run.outputs, &run.assignment, &run.wave_of);
+            )
+            .map(|run| ((), run))
+        })?;
+        let cores = run.global_cores(&chip);
+        let stats = run.stats.per_chip.swap_remove(0);
+        self.session.record(&stats, pool.graphs.len() as u64);
         Ok(ServiceRound {
-            graphs: completions,
-            waves: run.waves,
+            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
+            waves: run.wave_ends.len(),
             wave_end_cycles: run.wave_ends,
             idle_per_core: run.idle_per_core,
-            stats: run.stats,
+            stats,
+            events: run.events,
         })
     }
 
@@ -1613,6 +1366,7 @@ mod tests {
     use super::*;
     use crate::chip::{ChipConfig, LacChip, ProgramJob};
     use crate::config::LacConfig;
+    use crate::event::SimMode;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
     /// One external load + one MAC + `extra` idle cycles, with a chosen
@@ -2075,19 +1829,25 @@ mod tests {
         );
     }
 
+    /// A job that panics (`true`) or runs its program normally.
+    struct MaybePanic(bool, ProgramJob);
+
+    impl ChipJob for MaybePanic {
+        type Output = ExecStats;
+        fn cost_hint(&self) -> u64 {
+            self.1.cost_hint()
+        }
+        fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, crate::error::SimError> {
+            assert!(!self.0, "bad operand");
+            self.1.run_on(eng)
+        }
+    }
+
     #[test]
     fn service_survives_a_panicking_job() {
         // Mixed graph: the panicking job is caught and re-raised by the
         // coordinator after the wave drains, so no worker dies and the
         // service keeps serving.
-        struct MaybePanic(bool, ProgramJob);
-        impl ChipJob for MaybePanic {
-            type Output = ExecStats;
-            fn run_on(&self, eng: &mut LacEngine) -> Result<ExecStats, crate::error::SimError> {
-                assert!(!self.0, "bad operand");
-                self.1.run_on(eng)
-            }
-        }
         let mut svc: LacService<MaybePanic> =
             LacService::new(ChipConfig::new(2, LacConfig::default()));
         let bad: JobGraph<MaybePanic> = vec![
@@ -2127,5 +1887,30 @@ mod tests {
         let run = svc.submit(ok, Scheduler::CriticalPath).unwrap();
         assert_eq!(run.outputs.len(), 4);
         assert_eq!(svc.session().graphs_run, 1);
+    }
+
+    #[test]
+    fn panicking_round_releases_admitted_cost() {
+        // A job panic unwinds out of the round; the tenant's admitted cost
+        // must still drain, or every later enqueue bounces off the budget
+        // for good.
+        for mode in [SimMode::Wave, SimMode::Event] {
+            let cfg = ChipConfig::new(2, LacConfig::default()).with_sim_mode(mode);
+            let mut svc: LacService<MaybePanic> = LacService::new(cfg);
+            let t = svc.add_tenant(TenantConfig::new("unlucky").with_admission_budget(15));
+            let bad: JobGraph<MaybePanic> = [MaybePanic(true, job(0, 10))].into_iter().collect();
+            svc.enqueue(t, bad).unwrap();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.run_admitted(Scheduler::FairShare)
+            }))
+            .expect_err("the job's panic surfaces");
+            assert_eq!(svc.tenant_session(t).inflight_cost, 0, "{mode:?}");
+            assert_eq!(svc.tenant_session(t).graphs_completed, 0);
+            let ok: JobGraph<MaybePanic> = [MaybePanic(false, job(0, 10))].into_iter().collect();
+            svc.enqueue(t, ok).expect("the budget was released");
+            let round = svc.run_admitted(Scheduler::FairShare).unwrap();
+            assert_eq!(round.graphs.len(), 1);
+            assert_eq!(svc.tenant_session(t).inflight_cost, 0);
+        }
     }
 }

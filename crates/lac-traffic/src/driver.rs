@@ -120,8 +120,9 @@ pub struct RoundOutcome<T> {
     /// start.
     pub wave_end_cycles: Vec<u64>,
     /// The round's event log, on the round-relative clock (empty for
-    /// backends that don't trace). The driver rebases it onto the session
-    /// clock and merges it into [`OpenLoopReport::events`].
+    /// backends that don't trace; both in-tree backends do). The driver
+    /// rebases it onto the session clock and merges it into
+    /// [`OpenLoopReport::events`].
     pub events: EventLog,
 }
 
@@ -173,7 +174,7 @@ impl<J: ChipJob + 'static> OpenLoopBackend<J> for LacService<J> {
         Ok(RoundOutcome {
             completions: round.graphs,
             wave_end_cycles: round.wave_end_cycles,
-            events: EventLog::new(),
+            events: round.events,
         })
     }
 
@@ -1142,7 +1143,6 @@ mod tests {
 
     #[test]
     fn cluster_replay_exports_a_merged_event_log() {
-        let trace = demo_trace();
         let mut cluster: LacCluster<ProgramJob> = LacCluster::new(ClusterConfig::homogeneous(
             2,
             ChipConfig::new(1, LacConfig::default()),
@@ -1151,14 +1151,21 @@ mod tests {
             cluster.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
             cluster.add_tenant(TenantConfig::new("batch")),
         ];
-        let report = run_open_loop(
-            &mut cluster,
-            &trace,
-            &ids,
-            request,
-            OpenLoopConfig::default(),
-        )
-        .unwrap();
+        check_merged_event_log(&mut cluster, &ids);
+        // The one-chip service door traces through the same coordinator.
+        let mut svc: LacService<ProgramJob> =
+            LacService::new(ChipConfig::new(1, LacConfig::default()));
+        let ids = vec![
+            svc.add_tenant(TenantConfig::new("interactive").with_deadline(2_000)),
+            svc.add_tenant(TenantConfig::new("batch")),
+        ];
+        check_merged_event_log(&mut svc, &ids);
+    }
+
+    fn check_merged_event_log<B: OpenLoopBackend<ProgramJob>>(backend: &mut B, ids: &[TenantId]) {
+        let trace = demo_trace();
+        let report =
+            run_open_loop(backend, &trace, ids, request, OpenLoopConfig::default()).unwrap();
         use lac_sim::TraceEvent;
         let jobs = report.events.count(|e| matches!(e, TraceEvent::Job { .. }));
         assert_eq!(jobs, 2 * trace.len(), "every job of every request logged");

@@ -11,11 +11,14 @@
 //!   are never charged;
 //! * an N=1 cluster is bit-identical to the single-chip
 //!   `LacChip::run_graph` — outputs, per-core stats, makespan, waves;
+//! * an N=1 cluster is bit-identical to `LacService` under either
+//!   `SimMode` — multi-tenant rounds (completions, wave clock, stats,
+//!   session clock, tenant meters) and single-graph submissions alike;
 //! * reruns are bit-identical, and outputs are partition-independent.
 
 use lap::lac_sim::{
     ChipConfig, ChipJob, ClusterConfig, ExecStats, JobGraph, LacChip, LacCluster, LacConfig,
-    LacEngine, Partitioner, Scheduler, SimError,
+    LacEngine, LacService, Partitioner, Scheduler, SimError, SimMode, TenantConfig,
 };
 use lap::lac_sim::{ExtOp, ProgramBuilder, Source};
 use proptest::prelude::*;
@@ -28,6 +31,16 @@ const POLICIES: [Scheduler; 3] = [
 
 fn policy(which: u8) -> Scheduler {
     POLICIES[which as usize % 3]
+}
+
+/// Every policy, the multi-tenant `FairShare` included.
+fn any_policy(which: u8) -> Scheduler {
+    [
+        Scheduler::Fifo,
+        Scheduler::LeastLoaded,
+        Scheduler::CriticalPath,
+        Scheduler::FairShare,
+    ][which as usize % 4]
 }
 
 /// A MAC-and-idle program job with an explicit cost hint and transfer
@@ -235,6 +248,88 @@ proptest! {
         let cores_only: Vec<usize> =
             via_cluster.assignment.iter().map(|&(_, c)| c).collect();
         prop_assert_eq!(cores_only, via_chip.assignment);
+    }
+
+    // The service door and a one-chip cluster are the same machine: two
+    // weighted tenants, three boosted rounds with idle gaps between them,
+    // then one single-graph submission — every round, meter and clock
+    // must agree bit for bit, under either coordinator.
+    #[test]
+    fn single_chip_cluster_rounds_match_the_service_bitwise(
+        extras in prop::collection::vec(0usize..10, 6..18),
+        seeds in prop::collection::vec(any::<u64>(), 8..9),
+        cores in 1usize..=3,
+        which in any::<u8>(),
+        event in any::<bool>(),
+        weight in 1u64..=3,
+        boosts in prop::collection::vec(any::<u64>(), 6..7),
+        gaps in prop::collection::vec(0u64..5_000, 3..4),
+    ) {
+        let sched = any_policy(which);
+        let mode = if event { SimMode::Event } else { SimMode::Wave };
+        let chip_cfg = ChipConfig::new(cores, LacConfig::default()).with_sim_mode(mode);
+        let mut svc: LacService<SizedJob> = LacService::new(chip_cfg);
+        let mut cluster: LacCluster<SizedJob> =
+            LacCluster::new(ClusterConfig::homogeneous(1, chip_cfg));
+        let tenants = [
+            TenantConfig::new("light"),
+            TenantConfig::new("heavy").with_weight(weight),
+        ];
+        let ids: Vec<_> = tenants
+            .iter()
+            .map(|t| (svc.add_tenant(t.clone()), cluster.add_tenant(t.clone())))
+            .collect();
+
+        for (round, &gap) in gaps.iter().enumerate() {
+            for (t, &(st, ct)) in ids.iter().enumerate() {
+                let from = (3 * round + t) % extras.len();
+                let (graph, _) = random_dag(&extras[from..], &seeds);
+                let ticket = svc.enqueue(st, graph.clone()).unwrap();
+                prop_assert_eq!(ticket, cluster.enqueue(ct, graph).unwrap());
+            }
+            // A random SLO boost: some tenants unboosted, some with slack.
+            let boost: Vec<u64> = (0..2)
+                .map(|t| match boosts[2 * round + t] {
+                    b if b % 3 == 0 => u64::MAX,
+                    b => b % 4_000,
+                })
+                .collect();
+            let via_svc = svc.run_admitted_boosted(sched, &boost).unwrap();
+            let via_cluster = cluster.run_admitted_boosted(sched, &boost).unwrap();
+
+            prop_assert_eq!(via_svc.graphs.len(), via_cluster.graphs.len());
+            for (s, c) in via_svc.graphs.iter().zip(&via_cluster.graphs) {
+                prop_assert_eq!(s.ticket, c.ticket);
+                prop_assert_eq!(&s.outputs, &c.outputs);
+                prop_assert_eq!(&s.assignment, &c.assignment);
+                prop_assert_eq!(&s.wave_of, &c.wave_of);
+            }
+            prop_assert_eq!(via_svc.waves, via_cluster.waves);
+            prop_assert_eq!(&via_svc.wave_end_cycles, &via_cluster.wave_end_cycles);
+            prop_assert_eq!(&via_svc.stats, &via_cluster.stats.per_chip[0]);
+            prop_assert_eq!(via_svc.stats.makespan_cycles, via_cluster.stats.makespan_cycles);
+            prop_assert_eq!(svc.session().clock_cycles, cluster.session().clock_cycles);
+            for &(st, ct) in &ids {
+                prop_assert_eq!(svc.tenant_session(st), cluster.tenant_session(ct));
+            }
+
+            svc.advance_idle(gap);
+            cluster.advance_idle(gap);
+        }
+
+        // The single-graph doors agree too, idle accounting included.
+        let (graph, _) = random_dag(&extras, &seeds);
+        let via_run = cluster.run_graph(&graph, sched).unwrap();
+        let via_submit = svc.submit(graph, sched).unwrap();
+        prop_assert_eq!(&via_submit.outputs, &via_run.outputs);
+        let cores_only: Vec<usize> = via_run.assignment.iter().map(|&(_, c)| c).collect();
+        prop_assert_eq!(via_submit.assignment, cores_only);
+        prop_assert_eq!(via_submit.wave_of, via_run.wave_of);
+        prop_assert_eq!(via_submit.waves, via_run.waves);
+        prop_assert_eq!(via_submit.wave_end_cycles, via_run.wave_end_cycles);
+        prop_assert_eq!(&via_submit.idle_per_core, &via_run.idle_per_core[0]);
+        prop_assert_eq!(&via_submit.stats, &via_run.stats.per_chip[0]);
+        prop_assert_eq!(svc.session().clock_cycles, cluster.session().clock_cycles);
     }
 
     #[test]
