@@ -64,6 +64,20 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 5: one worker pool. Every door runs its jobs on the scoped pool in
+# crates/lac-sim/src/coord.rs (`scoped_workers`); the service is a
+# one-chip cluster and owns no threads. A thread spawn, thread scope or
+# mpsc channel anywhere else in library code would be a second pool, free
+# to drift from the first in abort, panic and shutdown handling.
+hits=$(grep -rnE 'thread::(spawn|scope|Builder)|mpsc::' --include='*.rs' \
+  ./crates/*/src ./src 2>/dev/null \
+  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+if [ -n "$hits" ]; then
+  echo "threads or channels outside the one worker pool (coord.rs):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

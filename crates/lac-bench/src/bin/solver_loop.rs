@@ -1,6 +1,6 @@
 //! The dependency-graph service headline: an IPM-style solver loop
 //! (CHOL → stacked TRSM fan-out → SYRK updates, round k feeding round
-//! k+1) submitted as a `JobGraph` to a persistent `LacService`, swept
+//! k+1) submitted as a `JobGraph` to a long-lived `LacService`, swept
 //! over iterations × cores × scheduler policies.
 //!
 //! For every point the run is verified three ways before a row prints:

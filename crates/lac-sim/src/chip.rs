@@ -7,8 +7,8 @@
 //! Production clients of such a chip — e.g. interior-point solvers whose
 //! iterations are chained Cholesky/TRSM/GEMM factorizations — submit
 //! *dependency graphs* of jobs, so the front door here is
-//! [`LacChip::run_graph`] (and, for long-lived submission sessions, the
-//! persistent [`crate::service::LacService`]):
+//! [`LacChip::run_graph`] (and, for long-lived multi-tenant submission
+//! sessions, [`crate::service::LacService`]):
 //!
 //! * every shard is one [`LacEngine`] session (per-core architectural state
 //!   and meters persist across graph runs);
@@ -354,8 +354,8 @@ impl ChipStats {
 /// door, [`LacChip::run_graph`].
 ///
 /// `LacChip` borrows the calling thread and scoped workers per run; for a
-/// persistent submission service whose workers (and shards) outlive
-/// individual graphs, see [`crate::service::LacService`].
+/// submission service with tenants, admission and a lifetime session
+/// clock, see [`crate::service::LacService`].
 ///
 /// ```
 /// use lac_sim::{ChipConfig, JobGraph, LacChip, LacConfig, ProgramBuilder, ProgramJob, Scheduler};

@@ -47,9 +47,9 @@
 //! service doors, outputs, stats, rounds and tenant meters alike (a
 //! property-tested invariant, see `tests/cluster_props.rs`).
 //!
-//! The multi-tenant front door is [`crate::service::LacService`]'s own:
-//! both own one crate-internal tenancy round. Tenants registered with
-//! [`LacCluster::add_tenant`] hold *cluster-wide* admission budgets
+//! The multi-tenant front door is [`crate::service::LacService`]'s own,
+//! because a service *is* a one-chip [`LacCluster`]. Tenants registered
+//! with [`LacCluster::add_tenant`] hold *cluster-wide* admission budgets
 //! ([`LacCluster::enqueue`] charges the same cost-hint currency whether
 //! the graph later lands on one chip or five), and
 //! [`LacCluster::run_admitted`] fuses every admitted graph into one pool,
@@ -68,9 +68,9 @@ use crate::error::{HazardKind, SimError};
 use crate::event::SimMode;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::service::{
-    critical_paths, plan_wave, plan_wave_tenanted_slo, Done, GraphCompletion, GraphTicket,
-    JobGraph, JobId, JobOutcome, Rejected, Tenancy, TenantConfig, TenantDelta, TenantId,
-    TenantSession,
+    critical_paths, plan_wave, plan_wave_tenanted_slo, Done, FusedPool, GraphCompletion,
+    GraphTicket, JobGraph, JobId, JobOutcome, Rejected, Tenancy, TenantConfig, TenantDelta,
+    TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
@@ -1038,12 +1038,12 @@ pub(crate) fn drive_cluster<T>(
 /// partition-and-coordinate front door, with cluster-wide multi-tenant
 /// admission.
 ///
-/// Like [`LacChip`] (and unlike the persistent
-/// [`crate::service::LacService`]), a cluster borrows the calling thread
-/// and the chip's scoped worker pool per run: one worker per core per
-/// chip, each owning its shard's [`crate::engine::LacEngine`] for the
-/// duration of the run. Shard state and session meters persist across
-/// runs — the chips are owned, not rebuilt.
+/// Like [`LacChip`], a cluster borrows the calling thread and the one
+/// scoped worker pool per run: one worker per core per chip, each owning
+/// its shard's [`crate::engine::LacEngine`] for the duration of the run.
+/// Shard state and session meters persist across runs — the chips are
+/// owned, not rebuilt. [`crate::service::LacService`] is a one-chip
+/// cluster.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig, Scheduler};
@@ -1072,6 +1072,10 @@ pub struct LacCluster<J: ChipJob> {
     session: ClusterSession,
     program_cache: ProgramCache,
 }
+
+/// A tenancy round before its projection: the fused pool, its partition
+/// and the coordinated run.
+type RoundRun<J> = (FusedPool<J>, Partition, CoordRun<<J as ChipJob>::Output>);
 
 /// The hardware side of a [`LacCluster`]: everything a run touches
 /// besides the tenants, which the shared tenancy round owns.
@@ -1300,6 +1304,30 @@ impl<J: ChipJob> LacCluster<J> {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<ClusterRun<J::Output>, SimError> {
+        let (partition, run) = self.run_graph_coord(graph, sched)?;
+        Ok(ClusterRun {
+            outputs: run.outputs,
+            partition,
+            assignment: run.assignment,
+            wave_of: run.wave_of,
+            waves: run.wave_ends.len(),
+            wave_end_cycles: run.wave_ends,
+            idle_per_core: self.fleet.cfg.by_chip(&run.idle_per_core),
+            transfers: run.transfers,
+            stats: run.stats,
+            events: run.events,
+        })
+    }
+
+    /// [`LacCluster::run_graph`] before its projection: the partition and
+    /// the coordinated run, already folded into the cluster session. The
+    /// one-chip [`crate::service::LacService`] projects its
+    /// [`crate::service::GraphRun`] from this.
+    pub(crate) fn run_graph_coord(
+        &mut self,
+        graph: &JobGraph<J>,
+        sched: Scheduler,
+    ) -> Result<(Partition, CoordRun<J::Output>), SimError> {
         let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
         let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
         let (partition, run) = self.fleet.run(
@@ -1316,18 +1344,7 @@ impl<J: ChipJob> LacCluster<J> {
             sched,
         )?;
         self.session.record(&run.stats, 1);
-        Ok(ClusterRun {
-            outputs: run.outputs,
-            partition,
-            assignment: run.assignment,
-            wave_of: run.wave_of,
-            waves: run.wave_ends.len(),
-            wave_end_cycles: run.wave_ends,
-            idle_per_core: self.fleet.cfg.by_chip(&run.idle_per_core),
-            transfers: run.transfers,
-            stats: run.stats,
-            events: run.events,
-        })
+        Ok((partition, run))
     }
 
     /// Register a tenant on the cluster-wide multi-tenant door. The
@@ -1402,6 +1419,30 @@ impl<J: ChipJob> LacCluster<J> {
         sched: Scheduler,
         boost: &[u64],
     ) -> Result<ClusterRound<J::Output>, SimError> {
+        let (pool, partition, run) = self.run_round_coord(sched, boost)?;
+        // Completions carry global core indices (chips laid end to end).
+        let cores = run.global_cores(&self.fleet.cfg);
+        Ok(ClusterRound {
+            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
+            partition,
+            waves: run.wave_ends.len(),
+            wave_end_cycles: run.wave_ends,
+            transfers: run.transfers,
+            stats: run.stats,
+            events: run.events,
+        })
+    }
+
+    /// [`LacCluster::run_admitted_boosted`] before its projection: the
+    /// round's fused pool, partition and coordinated run, already folded
+    /// into the cluster and tenant sessions. The one-chip
+    /// [`crate::service::LacService`] projects its
+    /// [`crate::service::ServiceRound`] from this.
+    pub(crate) fn run_round_coord(
+        &mut self,
+        sched: Scheduler,
+        boost: &[u64],
+    ) -> Result<RoundRun<J>, SimError> {
         let (fleet, base) = (&mut self.fleet, self.session.clock_cycles);
         let (pool, partition, run) = self.tenancy.run_round(boost, |pool, weights, usage| {
             fleet.run(
@@ -1422,17 +1463,12 @@ impl<J: ChipJob> LacCluster<J> {
             )
         })?;
         self.session.record(&run.stats, pool.graphs.len() as u64);
-        // Completions carry global core indices (chips laid end to end).
-        let cores = run.global_cores(&self.fleet.cfg);
-        Ok(ClusterRound {
-            graphs: pool.completions(run.outputs, &cores, &run.wave_of),
-            partition,
-            waves: run.wave_ends.len(),
-            wave_end_cycles: run.wave_ends,
-            transfers: run.transfers,
-            stats: run.stats,
-            events: run.events,
-        })
+        Ok((pool, partition, run))
+    }
+
+    /// The shared tenancy: registered tenants and their admitted graphs.
+    pub(crate) fn tenancy(&self) -> &Tenancy<J> {
+        &self.tenancy
     }
 }
 

@@ -6,10 +6,10 @@
 //! and the discrete-event core (`crate::event::drive_event`) therefore
 //! each exist once, and both hand back one [`CoordRun`] shape.
 //!
-//! The module also holds the one scoped worker pool
-//! ([`scoped_workers`]) that the chip and the cluster borrow per run; the
-//! service keeps its persistent workers, because the coordinator only
-//! ever sees a `dispatch`/`collect` door pair.
+//! The module also holds the one worker pool ([`scoped_workers`]): scoped
+//! threads, one per engine, borrowed for one run. The chip borrows it
+//! directly; the service runs as a one-chip cluster, so every door's jobs
+//! execute on it. It is the only place the crate spawns threads.
 
 use crate::chip::{ChipConfig, ChipJob, Scheduler};
 use crate::cluster::{drive_cluster, ClusterConfig, ClusterStats, Transfer};
@@ -17,9 +17,9 @@ use crate::engine::LacEngine;
 use crate::error::SimError;
 use crate::event::{drive_event, SimMode};
 use crate::fault::FaultEvent;
-use crate::service::{run_one, Done, GraphRun, JobGraph, TenantDelta};
+use crate::service::{Done, GraphRun, JobGraph, JobOutcome, TenantDelta};
 use crate::trace::EventLog;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 
 /// Everything one coordinated run produces, whichever coordinator ran it.
@@ -63,7 +63,7 @@ impl<T> CoordRun<T> {
     }
 
     /// The one-chip view the chip and service doors return.
-    fn into_graph_run(mut self) -> GraphRun<T> {
+    pub(crate) fn into_graph_run(mut self) -> GraphRun<T> {
         GraphRun {
             outputs: self.outputs,
             assignment: self.assignment.iter().map(|&(_, core)| core).collect(),
@@ -144,8 +144,7 @@ pub(crate) fn coordinate<T>(
 }
 
 /// [`coordinate`] one graph on one fault-free chip as a single anonymous
-/// tenant — what [`crate::chip::LacChip::run_graph`] and
-/// [`crate::service::LacService::submit`] drive.
+/// tenant — what [`crate::chip::LacChip::run_graph`] drives.
 pub(crate) fn coordinate_graph<J: ChipJob>(
     chip: &ChipConfig,
     graph: &JobGraph<J>,
@@ -177,8 +176,11 @@ pub(crate) fn coordinate_graph<J: ChipJob>(
     .map(CoordRun::into_graph_run)
 }
 
-/// The scoped worker pool: one worker thread per engine, borrowed for one
-/// run. `job_of` resolves a dispatched pool index to its job; `drive`
+/// The one worker pool: one scoped worker thread per engine, spawned for
+/// one run. Every door executes its jobs here — [`crate::chip::LacChip`]
+/// directly, [`crate::cluster::LacCluster`] and the one-chip
+/// [`crate::service::LacService`] through the cluster's run path.
+/// `job_of` resolves a dispatched pool index to its job; `drive`
 /// receives the `dispatch`/`collect` door pair (global core = the
 /// engine's position in `engines`) and runs the coordinator. When `drive`
 /// returns — or unwinds — the submission channels close, the workers
@@ -211,4 +213,31 @@ pub(crate) fn scoped_workers<'e, 'j, J: ChipJob + 'j, R>(
             &mut || done_rx.recv().expect("scoped worker hung up"),
         )
     })
+}
+
+/// Run one job on a worker's engine, honoring the run's abort flag and
+/// measuring the session delta — the body of every [`scoped_workers`]
+/// thread. Never unwinds: every dispatched job must produce a report, or
+/// the coordinator would wait forever.
+fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
+    if abort.load(Ordering::Relaxed) {
+        return JobOutcome::Skipped;
+    }
+    let before = *eng.session_stats();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(eng))) {
+        Ok(Ok(out)) => JobOutcome::Completed(out, eng.session_stats().since(&before)),
+        Ok(Err(e)) => {
+            abort.store(true, Ordering::Relaxed);
+            JobOutcome::Failed(e)
+        }
+        Err(payload) => {
+            abort.store(true, Ordering::Relaxed);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            JobOutcome::Panicked(msg)
+        }
+    }
 }

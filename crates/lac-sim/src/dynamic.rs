@@ -148,9 +148,9 @@ impl<J: ChipJob> fmt::Debug for DynamicGraph<J> {
 
 /// The serving-backend projection the dynamic driver needs: the tenant
 /// admission door and the round door. Implemented for [`LacService`]
-/// (one chip, persistent workers) and [`LacCluster`] (N chips, modeled
-/// transfers), so one dynamic request replays identically against
-/// either.
+/// (one chip, served as a one-chip cluster) and [`LacCluster`] (N chips,
+/// modeled transfers), so one dynamic request replays identically
+/// against either.
 pub trait ContinuationBackend<J: ChipJob> {
     /// Offer a segment through tenant `t`'s admission door, charging its
     /// cost against the tenant's in-flight budget.
@@ -160,7 +160,7 @@ pub trait ContinuationBackend<J: ChipJob> {
     fn run_round(&mut self, sched: Scheduler) -> Result<Vec<GraphCompletion<J::Output>>, SimError>;
 }
 
-impl<J: ChipJob + 'static> ContinuationBackend<J> for LacService<J> {
+impl<J: ChipJob> ContinuationBackend<J> for LacService<J> {
     fn offer(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
         self.enqueue(t, graph)
     }

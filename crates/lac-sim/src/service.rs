@@ -1,13 +1,13 @@
 //! The chip's submission-based front-end: [`JobGraph`] expresses DAGs of
-//! [`ChipJob`]s with dependencies, and [`LacService`] keeps one persistent
-//! worker thread per core alive across submissions — the production shape
-//! of the multi-core LAP, where a solver loop (e.g. the repeated
+//! [`ChipJob`]s with dependencies, and [`LacService`] keeps one chip's
+//! shards warm across submissions — the production shape of the
+//! multi-core LAP, where a solver loop (e.g. the repeated
 //! Cholesky/TRSM/GEMM rounds of an interior-point method) submits graph
-//! after graph against the same warm shards.
+//! after graph against the same shards.
 //!
 //! The chip's original flat-queue door (removed once every call site had
-//! migrated) could only drain an order-free batch, and every call paid
-//! worker-pool setup and teardown. This module replaces it:
+//! migrated) could only drain an order-free batch. This module replaces
+//! it:
 //!
 //! * **[`JobGraph`]** — jobs are added in submission order and may depend
 //!   on previously added jobs (`add_after` / `add_dep`). Because an edge
@@ -33,10 +33,11 @@
 //!   cycles. The makespan is the sum of wave spans, so chip utilization
 //!   and the static/uncore terms of `lac-power`'s chip energy model see
 //!   dependency stalls, not just busy time.
-//! * **[`LacService`]** — owns the shards *inside* long-lived worker
-//!   threads (one per core, fed through `mpsc` channels — the submission
-//!   door) and accumulates a [`ServiceSession`]: per-core meters, a
-//!   service clock summing submission makespans (plus explicit
+//! * **[`LacService`]** — a one-chip [`LacCluster`]: its jobs run on
+//!   the same scoped worker pool, wave loop and event core as every other
+//!   door, and its shards persist across submissions. On top it
+//!   accumulates a [`ServiceSession`]: per-core meters, a service clock
+//!   summing submission makespans (plus explicit
 //!   [`LacService::advance_idle`] gaps between batches), and graph/job
 //!   counts. `session().chip_stats()` prices the whole service lifetime
 //!   through `lac_power::ChipEnergyModel`, idle included.
@@ -56,10 +57,11 @@
 //!   wait-vs-run, busy stats for
 //!   `lac_power::ChipEnergyModel::attribute`) accumulate in each
 //!   [`TenantSession`]. Tenants, admission and the round skeleton live
-//!   in one crate-internal `Tenancy` that the service and the cluster
-//!   both own, so tenancy behaves identically at every deployment scale
-//!   — including on failure: a round's admitted cost is released on
-//!   every exit, a panicking job's unwind included.
+//!   in one crate-internal `Tenancy` that the cluster owns and the
+//!   service reaches as a one-chip cluster, so tenancy behaves
+//!   identically at every deployment scale — including on failure: a
+//!   round's admitted cost is released on every exit, a panicking job's
+//!   unwind included.
 //!
 //! Data flows between dependent jobs through whatever shared state the
 //! jobs close over (e.g. an `Arc<Mutex<…>>` — see `lac-kernels`'
@@ -68,17 +70,12 @@
 //! order, so shared-state workloads stay bit-deterministic.
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, Scheduler};
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, LacCluster};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, coordinate_graph, CoordRun};
-use crate::engine::LacEngine;
+use crate::coord::CoordRun;
 use crate::error::SimError;
 use crate::stats::ExecStats;
 use crate::trace::EventLog;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Handle to a job added to a [`JobGraph`]; ids are dense and ordered by
 /// submission.
@@ -421,38 +418,6 @@ pub(crate) struct Done<T> {
     pub(crate) outcome: JobOutcome<T>,
 }
 
-/// Run one job on a worker's engine, honoring the shared abort flag and
-/// measuring the session delta. Shared by the scoped
-/// ([`crate::chip::LacChip::run_graph`]) and persistent ([`LacService`])
-/// back-ends. Never unwinds: every dispatched job must produce a report,
-/// or the coordinator would wait forever.
-pub(crate) fn run_one<J: ChipJob>(
-    eng: &mut LacEngine,
-    job: &J,
-    abort: &AtomicBool,
-) -> JobOutcome<J::Output> {
-    if abort.load(Ordering::Relaxed) {
-        return JobOutcome::Skipped;
-    }
-    let before = *eng.session_stats();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(eng))) {
-        Ok(Ok(out)) => JobOutcome::Completed(out, eng.session_stats().since(&before)),
-        Ok(Err(e)) => {
-            abort.store(true, Ordering::Relaxed);
-            JobOutcome::Failed(e)
-        }
-        Err(payload) => {
-            abort.store(true, Ordering::Relaxed);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            JobOutcome::Panicked(msg)
-        }
-    }
-}
-
 /// Everything one graph submission produces.
 #[derive(Clone, Debug)]
 pub struct GraphRun<T> {
@@ -490,18 +455,6 @@ pub(crate) struct TenantDelta {
     pub(crate) wait_cycles: u64,
     /// Cost hints this tenant dispatched — the fair-share usage currency.
     pub(crate) cost_dispatched: u64,
-}
-
-/// Messages down a worker's submission channel. `job` indexes into
-/// `graph`; `tag` is the coordinator-side job id reported back in
-/// [`Done`] (they differ when a round interleaves several graphs).
-enum WorkerMsg<J> {
-    Run {
-        graph: Arc<JobGraph<J>>,
-        job: usize,
-        tag: usize,
-    },
-    Shutdown,
 }
 
 /// A tenant of the multi-tenant service door: a client whose submissions
@@ -676,7 +629,7 @@ pub(crate) struct FusedPool<J: ChipJob> {
     pub(crate) owner: Vec<(usize, usize)>,
     pub(crate) tickets: Vec<GraphTicket>,
     pub(crate) graph_costs: Vec<u64>,
-    pub(crate) graphs: Vec<Arc<JobGraph<J>>>,
+    pub(crate) graphs: Vec<JobGraph<J>>,
 }
 
 impl<J: ChipJob> FusedPool<J> {
@@ -716,7 +669,7 @@ impl<J: ChipJob> FusedPool<J> {
                 .extend(std::iter::repeat_n(p.ticket.tenant.0, p.graph.jobs.len()));
             pool.owner
                 .extend((0..p.graph.jobs.len()).map(|local| (g, local)));
-            pool.graphs.push(Arc::new(p.graph));
+            pool.graphs.push(p.graph);
         }
         pool
     }
@@ -758,12 +711,11 @@ impl<J: ChipJob> FusedPool<J> {
     }
 }
 
-/// The multi-tenant door that [`LacService`] and
-/// [`crate::cluster::LacCluster`] both own: registered tenants, their
-/// admitted-but-unrun graphs, and the round skeleton (take pending, fuse,
-/// cap banked credit, run, settle). Admission and tenant accounting are
-/// therefore one implementation at every deployment scale; the doors
-/// differ only in how they run a fused pool and fold its session meters.
+/// The multi-tenant door that [`LacCluster`] owns — and through it the
+/// one-chip [`LacService`]: registered tenants, their admitted-but-unrun
+/// graphs, and the round skeleton (take pending, fuse, cap banked credit,
+/// run, settle). Admission and tenant accounting are therefore one
+/// implementation at every deployment scale.
 pub(crate) struct Tenancy<J> {
     tenants: Vec<(TenantConfig, TenantSession)>,
     pending: Vec<PendingGraph<J>>,
@@ -1023,14 +975,13 @@ impl ServiceSession {
     }
 }
 
-/// A persistent multi-core submission service: `S` worker threads, each
-/// owning one [`LacEngine`] shard for the service's whole lifetime, fed
-/// through `mpsc` submission channels. Submissions run dependency-aware
-/// [`JobGraph`]s; between submissions the shards stay warm (architectural
-/// state and session meters persist), which is the point — a solver loop
-/// submits round after round without paying pool setup/teardown.
-///
-/// Dropping the service shuts the workers down and joins them.
+/// A multi-core submission service: one chip behind the multi-tenant
+/// admission door, served as a one-chip [`LacCluster`]. Submissions run
+/// dependency-aware [`JobGraph`]s; between submissions the shards stay
+/// warm (architectural state and session meters persist), which is the
+/// point — a solver loop submits round after round against the same
+/// engines and one compile cache, while [`LacService::session`] meters
+/// the whole service lifetime.
 ///
 /// ```
 /// use lac_sim::{ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler};
@@ -1060,76 +1011,42 @@ impl ServiceSession {
 ///     first.stats.makespan_cycles + second.stats.makespan_cycles + 1_000
 /// );
 /// ```
-pub struct LacService<J: ChipJob + 'static> {
-    cfg: ChipConfig,
-    txs: Vec<Sender<WorkerMsg<J>>>,
-    done_rx: Receiver<Done<J::Output>>,
-    handles: Vec<JoinHandle<()>>,
-    abort: Arc<AtomicBool>,
+pub struct LacService<J: ChipJob> {
+    cluster: LacCluster<J>,
     session: ServiceSession,
-    tenancy: Tenancy<J>,
-    program_cache: ProgramCache,
 }
 
-impl<J: ChipJob + 'static> LacService<J> {
+impl<J: ChipJob> LacService<J> {
     /// Build the shards (per-core bandwidth split per
-    /// [`ChipConfig::shard_config`]) and spawn one worker thread per core.
-    /// All workers share one compile cache, so a program fanned out across
-    /// cores compiles once (see [`LacService::program_cache`]).
+    /// [`ChipConfig::shard_config`]) as the one chip of a
+    /// [`LacCluster`]. All shards share one compile cache, so a program
+    /// fanned out across cores compiles once (see
+    /// [`LacService::program_cache`]).
     pub fn new(cfg: ChipConfig) -> Self {
-        assert!(cfg.cores >= 1, "a chip has at least one core");
-        cfg.assert_budget_conserved();
-        let program_cache = ProgramCache::new();
-        let abort = Arc::new(AtomicBool::new(false));
-        let (done_tx, done_rx) = channel::<Done<J::Output>>();
-        let mut txs = Vec::with_capacity(cfg.cores);
-        let mut handles = Vec::with_capacity(cfg.cores);
-        for core in 0..cfg.cores {
-            let mut b = LacEngine::builder()
-                .config(cfg.shard_config(core))
-                .program_cache(program_cache.clone());
-            if let Some(words) = cfg.mem_words_per_core {
-                b = b.mem_words(words);
-            }
-            let eng = b.build();
-            let (tx, rx) = channel::<WorkerMsg<J>>();
-            let done_tx = done_tx.clone();
-            let abort = Arc::clone(&abort);
-            handles.push(std::thread::spawn(move || {
-                service_worker(core, eng, rx, done_tx, abort)
-            }));
-            txs.push(tx);
-        }
         Self {
-            cfg,
-            txs,
-            done_rx,
-            handles,
-            abort,
+            cluster: LacCluster::new(ClusterConfig::homogeneous(1, cfg)),
             session: ServiceSession {
                 per_core: vec![ExecStats::default(); cfg.cores],
                 jobs_per_core: vec![0; cfg.cores],
                 clock_cycles: 0,
                 graphs_run: 0,
             },
-            tenancy: Tenancy::default(),
-            program_cache,
         }
     }
 
     /// The underlying chip configuration.
     pub fn config(&self) -> &ChipConfig {
-        &self.cfg
+        &self.cluster.config().chips[0]
     }
 
-    /// The compile cache shared by every worker core of this service.
+    /// The compile cache shared by every core of this service.
     pub fn program_cache(&self) -> &ProgramCache {
-        &self.program_cache
+        self.cluster.program_cache()
     }
 
-    /// Number of worker cores.
+    /// Number of cores.
     pub fn num_cores(&self) -> usize {
-        self.txs.len()
+        self.config().cores
     }
 
     /// Run a job graph to completion under `sched` and fold its meters
@@ -1140,32 +1057,16 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// [`LacChip::run_graph`](crate::chip::LacChip::run_graph) for the
     /// multi-failure caveat) is returned; peers stop at their next job
     /// boundary and no later wave is dispatched. Work that already
-    /// simulated stays metered in the worker shards but a failed
-    /// submission does not advance the service session — `Err` means "the
-    /// graph did not complete".
+    /// simulated stays metered in the shards but a failed submission
+    /// does not advance the service session — `Err` means "the graph did
+    /// not complete".
     pub fn submit(
         &mut self,
         graph: JobGraph<J>,
         sched: Scheduler,
     ) -> Result<GraphRun<J::Output>, SimError> {
-        self.abort.store(false, Ordering::Relaxed);
-        let graph = Arc::new(graph);
-        let txs = &self.txs;
-        let run = coordinate_graph(
-            &self.cfg,
-            &graph,
-            sched,
-            |core, job| {
-                txs[core]
-                    .send(WorkerMsg::Run {
-                        graph: Arc::clone(&graph),
-                        job,
-                        tag: job,
-                    })
-                    .expect("service worker hung up")
-            },
-            || self.done_rx.recv().expect("service worker hung up"),
-        )?;
+        let (_, run) = self.cluster.run_graph_coord(&graph, sched)?;
+        let run = run.into_graph_run();
         self.session.record(&run.stats, 1);
         Ok(run)
     }
@@ -1174,38 +1075,38 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// permanent for the service's lifetime; their ids index
     /// [`LacService::tenant_session`] and the fair-share deficit counters.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
-        self.tenancy.add_tenant(cfg)
+        self.cluster.add_tenant(cfg)
     }
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenancy.num_tenants()
+        self.cluster.num_tenants()
     }
 
     /// The policy knobs tenant `t` registered with.
     pub fn tenant_config(&self, t: TenantId) -> &TenantConfig {
-        self.tenancy.config(t)
+        self.cluster.tenant_config(t)
     }
 
     /// The tenant's lifetime meters (updated only by completed rounds).
     pub fn tenant_session(&self, t: TenantId) -> &TenantSession {
-        self.tenancy.session(t)
+        self.cluster.tenant_session(t)
     }
 
     /// Every tenant's busy stats in registration order — the shape
     /// `lac_power::ChipEnergyModel::attribute` prices.
     pub fn tenant_busy_stats(&self) -> Vec<ExecStats> {
-        self.tenancy.busy_stats()
+        self.cluster.tenancy().busy_stats()
     }
 
     /// Graphs admitted and waiting for the next [`LacService::run_admitted`].
     pub fn pending_graphs(&self) -> usize {
-        self.tenancy.pending_graphs()
+        self.cluster.pending_graphs()
     }
 
     /// Total admitted-but-unrun cost currently queued, across tenants.
     pub fn pending_cost(&self) -> u64 {
-        self.tenancy.pending_cost()
+        self.cluster.tenancy().pending_cost()
     }
 
     /// Submit a graph through tenant `t`'s admission door.
@@ -1219,7 +1120,7 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// [`GraphTicket::seq`]) for the next [`LacService::run_admitted`]
     /// round; in-flight cost drains when their round completes.
     pub fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
-        self.tenancy.enqueue(t, graph)
+        self.cluster.enqueue(t, graph)
     }
 
     /// Run every admitted graph to completion in one interleaved round:
@@ -1260,46 +1161,10 @@ impl<J: ChipJob + 'static> LacService<J> {
         sched: Scheduler,
         boost: &[u64],
     ) -> Result<ServiceRound<J::Output>, SimError> {
-        // The service is a one-chip cluster to the coordinator.
-        let chip = ClusterConfig::homogeneous(1, self.cfg);
-        let (txs, done_rx, abort) = (&self.txs, &self.done_rx, &self.abort);
-        let (pool, (), mut run) = self.tenancy.run_round(boost, |pool, weights, usage| {
-            abort.store(false, Ordering::Relaxed);
-            let n = pool.costs.len();
-            let dispatch = |core: usize, job: usize| {
-                let (g, local) = pool.owner[job];
-                txs[core]
-                    .send(WorkerMsg::Run {
-                        graph: Arc::clone(&pool.graphs[g]),
-                        job: local,
-                        tag: job,
-                    })
-                    .expect("service worker hung up");
-            };
-            let collect = || done_rx.recv().expect("service worker hung up");
-            coordinate(
-                &chip,
-                &pool.costs,
-                &pool.transfer_words,
-                &pool.parents,
-                &pool.children,
-                &mut vec![0; n],
-                &mut [false],
-                &[],
-                0,
-                &pool.tenant_of,
-                weights,
-                usage,
-                boost,
-                sched,
-                dispatch,
-                collect,
-            )
-            .map(|run| ((), run))
-        })?;
-        let cores = run.global_cores(&chip);
+        let (pool, _, mut run) = self.cluster.run_round_coord(sched, boost)?;
         let stats = run.stats.per_chip.swap_remove(0);
         self.session.record(&stats, pool.graphs.len() as u64);
+        let cores = run.global_cores(self.cluster.config());
         Ok(ServiceRound {
             graphs: pool.completions(run.outputs, &cores, &run.wave_of),
             waves: run.wave_ends.len(),
@@ -1315,6 +1180,7 @@ impl<J: ChipJob + 'static> LacService<J> {
     /// accrues while busy counters do not.
     pub fn advance_idle(&mut self, cycles: u64) {
         self.session.clock_cycles += cycles;
+        self.cluster.advance_idle(cycles);
     }
 
     /// Lifetime meters across every submission since construction.
@@ -1323,49 +1189,12 @@ impl<J: ChipJob + 'static> LacService<J> {
     }
 }
 
-impl<J: ChipJob + 'static> Drop for LacService<J> {
-    fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send(WorkerMsg::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn service_worker<J: ChipJob>(
-    core: usize,
-    mut eng: LacEngine,
-    rx: Receiver<WorkerMsg<J>>,
-    tx: Sender<Done<J::Output>>,
-    abort: Arc<AtomicBool>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run { graph, job, tag } => {
-                let outcome = run_one(&mut eng, &graph.jobs[job], &abort);
-                if tx
-                    .send(Done {
-                        core,
-                        job: tag,
-                        outcome,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            WorkerMsg::Shutdown => break,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chip::{ChipConfig, LacChip, ProgramJob};
     use crate::config::LacConfig;
+    use crate::engine::LacEngine;
     use crate::event::SimMode;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
@@ -1846,8 +1675,8 @@ mod tests {
     #[test]
     fn service_survives_a_panicking_job() {
         // Mixed graph: the panicking job is caught and re-raised by the
-        // coordinator after the wave drains, so no worker dies and the
-        // service keeps serving.
+        // coordinator after the wave drains, and the service keeps
+        // serving.
         let mut svc: LacService<MaybePanic> =
             LacService::new(ChipConfig::new(2, LacConfig::default()));
         let bad: JobGraph<MaybePanic> = vec![
@@ -1863,7 +1692,7 @@ mod tests {
         .expect_err("panic surfaces through submit");
         let ok: JobGraph<MaybePanic> = (0..4).map(|i| MaybePanic(false, job(i, 1))).collect();
         let run = svc.submit(ok, Scheduler::LeastLoaded).unwrap();
-        assert_eq!(run.outputs.len(), 4, "workers outlive a job panic");
+        assert_eq!(run.outputs.len(), 4, "the service outlives a job panic");
     }
 
     #[test]

@@ -34,12 +34,17 @@
 //! its *outputs* are bit-identical across scheduler policies and
 //! backends too (scheduling moves latencies, never results).
 //!
-//! Failures are typed, never panics: a graph that can *never* fit its
-//! tenant's admission budget surfaces as
+//! Fixed-graph and convergence-driven requests share this one loop:
+//! [`run_open_loop`] replays each arrival's graph as a one-segment
+//! [`DynamicGraph`] through [`run_open_loop_dynamic`].
+//!
+//! Failures are typed, never panics: a tenant list that does not match
+//! the trace's streams surfaces as [`OpenLoopError::TenantStreamMismatch`],
+//! a graph that can *never* fit its tenant's admission budget as
 //! [`OpenLoopError::AdmissionDeadlock`], and a backend that hands back a
 //! truncated wave clock (violating the [`OpenLoopBackend::run_boosted`]
-//! contract) surfaces as [`OpenLoopError::TruncatedWaveClock`] instead of
-//! silently mis-accounting sojourns.
+//! contract) as [`OpenLoopError::TruncatedWaveClock`] instead of silently
+//! mis-accounting sojourns.
 
 use crate::hist::LatencyHistogram;
 use crate::trace::{Arrival, ArrivalTrace};
@@ -49,7 +54,7 @@ use lac_sim::{
     ClusterRound, EventLog, GraphCompletion, GraphTicket, JobGraph, LacCluster, LacService,
     Rejected, Scheduler, ServiceRound, SimError, TenantId, TraceEvent,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why an open-loop replay stopped early.
@@ -74,6 +79,14 @@ pub enum OpenLoopError {
         /// Entries the round's wave clock actually had.
         waves: usize,
     },
+    /// The replay needs one registered tenant per trace stream, and the
+    /// caller passed a different number.
+    TenantStreamMismatch {
+        /// Tenant ids passed.
+        tenants: usize,
+        /// Streams the trace has.
+        streams: usize,
+    },
 }
 
 impl fmt::Display for OpenLoopError {
@@ -89,6 +102,11 @@ impl fmt::Display for OpenLoopError {
                 f,
                 "backend returned a truncated wave clock: completion in wave \
                  {last_wave} but only {waves} wave-end entries"
+            ),
+            OpenLoopError::TenantStreamMismatch { tenants, streams } => write!(
+                f,
+                "{tenants} tenant ids for a {streams}-stream trace: the replay \
+                 needs one registered tenant per trace stream"
             ),
         }
     }
@@ -128,10 +146,10 @@ pub struct RoundOutcome<T> {
 
 /// A serving backend the open-loop driver can feed: the multi-tenant
 /// admission door, the boosted round door, the session clock and the idle
-/// fast-forward door. Implemented for [`LacService`] (one chip,
-/// persistent workers) and [`LacCluster`] (N chips, modeled transfers) —
-/// the driver is backend-agnostic, so the same trace replays identically
-/// against either.
+/// fast-forward door. Implemented for [`LacService`] (one chip, served
+/// as a one-chip cluster) and [`LacCluster`] (N chips, modeled
+/// transfers) — the driver is backend-agnostic, so the same trace
+/// replays identically against either.
 pub trait OpenLoopBackend<J: ChipJob> {
     /// Offer a graph through tenant `t`'s admission door.
     fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>>;
@@ -160,7 +178,7 @@ pub trait OpenLoopBackend<J: ChipJob> {
     fn num_tenants(&self) -> usize;
 }
 
-impl<J: ChipJob + 'static> OpenLoopBackend<J> for LacService<J> {
+impl<J: ChipJob> OpenLoopBackend<J> for LacService<J> {
     fn enqueue(&mut self, t: TenantId, graph: JobGraph<J>) -> Result<GraphTicket, Rejected<J>> {
         LacService::enqueue(self, t, graph)
     }
@@ -299,10 +317,10 @@ pub struct OpenLoopReport<T> {
     pub final_clock: u64,
     /// The replay's merged event log on the backend's session clock:
     /// each round's log rebased by the round's start tick, plus the
-    /// driver's own idle fast-forwards. Empty events between rounds mean
-    /// the backend doesn't trace (the single-chip [`LacService`]);
-    /// cluster backends record job spans, transfers, faults and
-    /// requeues. Export with [`lac_sim::EventLog::to_chrome_trace`].
+    /// driver's own idle fast-forwards. Both in-tree backends trace:
+    /// [`LacService`] records job spans and idle fast-forwards,
+    /// [`LacCluster`] adds transfers, faults and requeues. Export with
+    /// [`lac_sim::EventLog::to_chrome_trace`].
     pub events: EventLog,
 }
 
@@ -319,6 +337,10 @@ pub struct OpenLoopReport<T> {
 /// pure function of `(trace, tenant configs, cfg, cost hints)`: reruns
 /// are bit-identical, and output bits are additionally identical across
 /// policies, backends and [`OpenLoopConfig::max_round_cost`] settings.
+///
+/// A fixed graph is the one-segment case of a dynamic request, so this is
+/// [`run_open_loop_dynamic`] over [`DynamicGraph::fixed`] requests, each
+/// projected onto its single segment.
 pub fn run_open_loop<J: ChipJob, B: OpenLoopBackend<J>>(
     backend: &mut B,
     trace: &ArrivalTrace,
@@ -326,161 +348,34 @@ pub fn run_open_loop<J: ChipJob, B: OpenLoopBackend<J>>(
     mut make_graph: impl FnMut(&Arrival) -> JobGraph<J>,
     cfg: OpenLoopConfig,
 ) -> Result<OpenLoopReport<J::Output>, OpenLoopError> {
-    assert_eq!(
-        tenants.len(),
-        trace.streams(),
-        "one registered tenant per trace stream"
-    );
-    // The trace's tick 0 is "now": arrivals land at base + tick, so a
-    // warm backend (non-zero clock) replays the same trace consistently.
-    let base = backend.clock();
-    let arrivals = trace.arrivals();
-
-    let mut per_tenant: Vec<TenantLatency> = tenants
-        .iter()
-        .map(|&t| TenantLatency {
-            hist: LatencyHistogram::new(),
-            deadline_cycles: backend.deadline_of(t),
-            deadline_misses: 0,
+    let report = run_open_loop_dynamic(
+        backend,
+        trace,
+        tenants,
+        |a| DynamicGraph::fixed(make_graph(a)),
+        cfg,
+    )?;
+    let completed = report
+        .completed
+        .into_iter()
+        .map(|c| CompletedRequest {
+            arrival: c.arrival,
+            completion_tick: c.completion_tick,
+            sojourn_cycles: c.sojourn_cycles,
+            outputs: c
+                .outcome
+                .segments
+                .into_iter()
+                .next()
+                .expect("a fixed request runs exactly one segment"),
         })
         .collect();
-    let mut completed_reqs: Vec<CompletedRequest<J::Output>> = Vec::new();
-    // Admitted-but-unserved: admission seq → arrival position.
-    let mut inflight: BTreeMap<u64, usize> = BTreeMap::new();
-    // Bounced submissions, retried in arrival order.
-    let mut bounced: VecDeque<(usize, JobGraph<J>)> = VecDeque::new();
-    let mut next = 0usize;
-    let mut rounds = 0u64;
-    let mut events = EventLog::new();
-
-    while next < arrivals.len() || !bounced.is_empty() || !inflight.is_empty() {
-        let clock = backend.clock();
-
-        // Fast-forward an idle backend to the next arrival.
-        if inflight.is_empty() && bounced.is_empty() {
-            let due = base + arrivals[next].tick;
-            if due > clock {
-                backend.advance_idle(due - clock);
-                events.push(TraceEvent::IdleFastForward {
-                    start: clock,
-                    end: due,
-                });
-                continue;
-            }
-        }
-
-        // The round's admitted-cost quantum: once `max_round_cost` is
-        // reached (and something is in flight — at least one graph always
-        // enters an empty round, the no-deadlock guarantee), further work
-        // defers to the next round, still in arrival order.
-        let mut round_cost = 0u64;
-        let quantum_full = |round_cost: u64, inflight: &BTreeMap<u64, usize>| {
-            cfg.max_round_cost.is_some_and(|q| round_cost >= q) && !inflight.is_empty()
-        };
-
-        // Retry bounced graphs first (their budgets may have drained).
-        while let Some((pos, graph)) = bounced.pop_front() {
-            if quantum_full(round_cost, &inflight) {
-                bounced.push_front((pos, graph));
-                break;
-            }
-            let cost = graph.total_cost();
-            match backend.enqueue(tenants[arrivals[pos].tenant], graph) {
-                Ok(ticket) => {
-                    round_cost += cost;
-                    inflight.insert(ticket.seq, pos);
-                }
-                Err(r) => {
-                    bounced.push_front((pos, r.graph));
-                    break;
-                }
-            }
-        }
-        // Admit everything due by now, in arrival order (bounced work
-        // above keeps its head start).
-        while next < arrivals.len()
-            && base + arrivals[next].tick <= clock
-            && bounced.is_empty()
-            && !quantum_full(round_cost, &inflight)
-        {
-            let a = &arrivals[next];
-            let graph = make_graph(a);
-            let cost = graph.total_cost();
-            match backend.enqueue(tenants[a.tenant], graph) {
-                Ok(ticket) => {
-                    round_cost += cost;
-                    inflight.insert(ticket.seq, next);
-                }
-                Err(r) => bounced.push_back((next, r.graph)),
-            }
-            next += 1;
-        }
-
-        if inflight.is_empty() {
-            if !bounced.is_empty() {
-                // Nothing admitted and every due graph bounced. With
-                // nothing in flight the budgets cannot drain further —
-                // this is permanent, not backpressure.
-                return Err(OpenLoopError::AdmissionDeadlock {
-                    bounced: bounced.len(),
-                });
-            }
-            continue; // no arrivals were due yet; fast-forward next pass
-        }
-
-        // Deadline slack per backend tenant: earliest pending arrival's
-        // deadline minus now (u64::MAX = unboosted).
-        let mut boost = vec![u64::MAX; backend.num_tenants()];
-        if cfg.slo_boost {
-            for &pos in inflight.values() {
-                let a = &arrivals[pos];
-                if let Some(d) = per_tenant[a.tenant].deadline_cycles {
-                    let slack = (base + a.tick).saturating_add(d).saturating_sub(clock);
-                    let slot = &mut boost[tenants[a.tenant].index()];
-                    *slot = (*slot).min(slack);
-                }
-            }
-        }
-
-        let outcome = backend.run_boosted(cfg.sched, &boost)?;
-        rounds += 1;
-        let mut round_events = outcome.events;
-        round_events.shift(clock);
-        events.extend(round_events);
-        for completion in outcome.completions {
-            let pos = inflight
-                .remove(&completion.ticket.seq)
-                .expect("round completed a graph the driver never admitted");
-            let a = arrivals[pos];
-            let last_wave = completion.wave_of.iter().copied().max().unwrap_or(0);
-            let done = clock
-                + outcome.wave_end_cycles.get(last_wave).copied().ok_or(
-                    OpenLoopError::TruncatedWaveClock {
-                        last_wave,
-                        waves: outcome.wave_end_cycles.len(),
-                    },
-                )?;
-            let sojourn = done - (base + a.tick);
-            let meters = &mut per_tenant[a.tenant];
-            meters.hist.record(sojourn);
-            if meters.deadline_cycles.is_some_and(|d| sojourn > d) {
-                meters.deadline_misses += 1;
-            }
-            completed_reqs.push(CompletedRequest {
-                arrival: a,
-                completion_tick: done,
-                sojourn_cycles: sojourn,
-                outputs: completion.outputs,
-            });
-        }
-    }
-
     Ok(OpenLoopReport {
-        completed: completed_reqs,
-        per_tenant,
-        rounds,
-        final_clock: backend.clock(),
-        events,
+        completed,
+        per_tenant: report.per_tenant,
+        rounds: report.rounds,
+        final_clock: report.final_clock,
+        events: report.events,
     })
 }
 
@@ -529,11 +424,10 @@ struct DynReq<J: ChipJob> {
 /// [`DynamicGraph`] whose continuation decides, from each completed
 /// segment's outputs, whether to append a successor segment
 /// (`lac_sim::dynamic`). The open-loop analogue of
-/// [`lac_sim::dynamic::run_dynamic`], and the dynamic analogue of
-/// [`run_open_loop`] — the fixed-graph driver is untouched and
-/// bit-compatible with its committed baselines.
+/// [`lac_sim::dynamic::run_dynamic`], and the one replay loop:
+/// [`run_open_loop`] feeds it one-segment requests.
 ///
-/// Differences from the fixed driver:
+/// What segments add to the fixed-graph picture:
 ///
 /// * **Sojourn** is measured to the request's *final* segment — time to
 ///   convergence, not time to first result.
@@ -547,10 +441,11 @@ struct DynReq<J: ChipJob> {
 ///   with nothing in flight, budgets can never drain and the driver
 ///   returns [`OpenLoopError::AdmissionDeadlock`].
 ///
-/// Like the fixed driver, the replay is a pure function of `(trace,
-/// tenant configs, cfg, cost hints)`; outputs — including every
-/// request's *segment count* — are bit-identical across policies,
-/// backends and reruns.
+/// `tenants` must hold one id per trace stream, or the replay returns
+/// [`OpenLoopError::TenantStreamMismatch`] before touching the backend.
+/// The replay is a pure function of `(trace, tenant configs, cfg, cost
+/// hints)`; outputs — including every request's *segment count* — are
+/// bit-identical across policies, backends and reruns.
 pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
     backend: &mut B,
     trace: &ArrivalTrace,
@@ -558,11 +453,14 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
     mut make_request: impl FnMut(&Arrival) -> DynamicGraph<J>,
     cfg: OpenLoopConfig,
 ) -> Result<DynamicOpenLoopReport<J::Output>, OpenLoopError> {
-    assert_eq!(
-        tenants.len(),
-        trace.streams(),
-        "one registered tenant per trace stream"
-    );
+    if tenants.len() != trace.streams() {
+        return Err(OpenLoopError::TenantStreamMismatch {
+            tenants: tenants.len(),
+            streams: trace.streams(),
+        });
+    }
+    // The trace's tick 0 is "now": arrivals land at base + tick, so a
+    // warm backend (non-zero clock) replays the same trace consistently.
     let base = backend.clock();
     let arrivals = trace.arrivals();
 
@@ -602,6 +500,10 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
             }
         }
 
+        // The round's admitted-cost quantum: once `max_round_cost` is
+        // reached (and something is in flight — at least one graph always
+        // enters an empty round, the no-deadlock guarantee), further work
+        // defers to the next round, still in arrival order.
         let mut round_cost = 0u64;
         let quantum_full = |round_cost: u64, inflight: &BTreeMap<u64, usize>| {
             cfg.max_round_cost.is_some_and(|q| round_cost >= q) && !inflight.is_empty()
@@ -675,6 +577,8 @@ pub fn run_open_loop_dynamic<J: ChipJob, B: OpenLoopBackend<J>>(
             continue; // no arrivals were due yet; fast-forward next pass
         }
 
+        // Deadline slack per backend tenant: earliest pending arrival's
+        // deadline minus now (u64::MAX = unboosted).
         let mut boost = vec![u64::MAX; backend.num_tenants()];
         if cfg.slo_boost {
             for &pos in inflight.values() {
@@ -923,6 +827,37 @@ mod tests {
         }
         // The error carries a readable message and chains nothing.
         assert!(err.to_string().contains("deadlock"));
+    }
+
+    #[test]
+    fn tenant_stream_mismatch_is_a_typed_error_not_a_panic() {
+        // A two-stream trace needs two tenant ids; one is an input error,
+        // reported before the backend is touched.
+        let trace = demo_trace();
+        let mut svc: LacService<ProgramJob> =
+            LacService::new(ChipConfig::new(1, LacConfig::default()));
+        let ids = vec![svc.add_tenant(TenantConfig::new("lonely"))];
+        let expected = OpenLoopError::TenantStreamMismatch {
+            tenants: 1,
+            streams: 2,
+        };
+        let err =
+            run_open_loop(&mut svc, &trace, &ids, request, OpenLoopConfig::default()).unwrap_err();
+        assert_eq!(err, expected);
+        assert!(err
+            .to_string()
+            .contains("one registered tenant per trace stream"));
+        let err = run_open_loop_dynamic(
+            &mut svc,
+            &trace,
+            &ids,
+            |a| DynamicGraph::fixed(request(a)),
+            OpenLoopConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, expected);
+        assert_eq!(svc.session().clock_cycles, 0, "the backend was not touched");
+        assert_eq!(svc.pending_graphs(), 0);
     }
 
     /// A backend that delegates to [`LacService`] but drops the last

@@ -28,8 +28,9 @@
 //!   priority boost (least deadline slack first) layered on the
 //!   fair-share scheduler — which reorders *when* jobs run but, because
 //!   outputs are placement-independent, never changes output bits.
-//! * [`run_open_loop_dynamic`] — the same replay for
-//!   *convergence-driven* requests: each arrival is a
+//! * [`run_open_loop_dynamic`] — the one replay loop, for
+//!   *convergence-driven* requests ([`run_open_loop`] is its
+//!   one-segment case): each arrival is a
 //!   [`lac_sim::dynamic::DynamicGraph`] whose continuation appends
 //!   segments until its residual converges. Continuations of live
 //!   requests re-admit **before** younger arrivals (arrival order is

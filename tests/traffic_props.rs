@@ -11,14 +11,18 @@
 //!   identical per-tenant histograms across reruns — with identical
 //!   output bits across scheduler policies;
 //! * arrival traces are bit-identical for a fixed seed and respect the
-//!   configured mean rate within tolerance.
+//!   configured mean rate within tolerance;
+//! * the fixed-graph replay equals the dynamic replay of the same graphs
+//!   lifted by `DynamicGraph::fixed`, request by request, meter by meter,
+//!   on every backend and under admission pressure.
 
 use lap::lac_sim::{
-    ChipConfig, JobGraph, LacConfig, LacService, ProgramBuilder, ProgramJob, Scheduler,
-    TenantConfig,
+    ChipConfig, ClusterConfig, DynamicGraph, ExecStats, JobGraph, LacCluster, LacConfig,
+    LacService, ProgramBuilder, ProgramJob, Scheduler, SimMode, TenantConfig,
 };
 use lap::lac_traffic::{
-    run_open_loop, Arrival, ArrivalProcess, ArrivalTrace, LatencyHistogram, OpenLoopConfig,
+    run_open_loop, run_open_loop_dynamic, Arrival, ArrivalProcess, ArrivalTrace, CompletedRequest,
+    LatencyHistogram, OpenLoopBackend, OpenLoopConfig, OpenLoopError, OpenLoopReport,
 };
 use proptest::prelude::*;
 
@@ -46,8 +50,123 @@ fn request(a: &Arrival) -> JobGraph<ProgramJob> {
     g
 }
 
+type Replay = Result<OpenLoopReport<ExecStats>, OpenLoopError>;
+
+/// Replay `trace` through both drivers, each on a fresh backend with a
+/// deadline tenant and a budget-bounded tenant, and project the dynamic
+/// report onto the fixed report's shape (every request must take exactly
+/// one segment).
+fn both_drivers<B: OpenLoopBackend<ProgramJob>>(
+    make_backend: impl Fn() -> B,
+    add_tenant: impl Fn(&mut B, TenantConfig) -> lap::lac_sim::TenantId,
+    trace: &ArrivalTrace,
+    budget: u64,
+    cfg: OpenLoopConfig,
+) -> (Replay, Replay) {
+    let tenants = |b: &mut B| {
+        vec![
+            add_tenant(b, TenantConfig::new("interactive").with_deadline(40)),
+            add_tenant(b, TenantConfig::new("batch").with_admission_budget(budget)),
+        ]
+    };
+    let mut fixed_backend = make_backend();
+    let ids = tenants(&mut fixed_backend);
+    let fixed = run_open_loop(&mut fixed_backend, trace, &ids, request, cfg);
+
+    let mut dyn_backend = make_backend();
+    let ids = tenants(&mut dyn_backend);
+    let dynamic = run_open_loop_dynamic(
+        &mut dyn_backend,
+        trace,
+        &ids,
+        |a| DynamicGraph::fixed(request(a)),
+        cfg,
+    )
+    .map(|r| OpenLoopReport {
+        completed: r
+            .completed
+            .into_iter()
+            .map(|c| {
+                let mut segments = c.outcome.segments;
+                assert_eq!(segments.len(), 1, "a fixed request is one segment");
+                CompletedRequest {
+                    arrival: c.arrival,
+                    completion_tick: c.completion_tick,
+                    sojourn_cycles: c.sojourn_cycles,
+                    outputs: segments.pop().unwrap(),
+                }
+            })
+            .collect(),
+        per_tenant: r.per_tenant,
+        rounds: r.rounds,
+        final_clock: r.final_clock,
+        events: r.events,
+    });
+    (fixed, dynamic)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The fixed-graph driver is the one-segment case of the dynamic one:
+    // completed arrivals, completion ticks, sojourns, outputs, per-tenant
+    // histograms and deadline misses, rounds, final clock and the merged
+    // event log all agree — and so does a typed error (a budget below one
+    // request's cost deadlocks both the same way).
+    #[test]
+    fn fixed_replay_equals_the_dynamic_replay_of_fixed_graphs(
+        seed in any::<u64>(),
+        mean_gap in 3.0f64..40.0,
+        backend in 0usize..3,
+        event in any::<bool>(),
+        which in any::<u8>(),
+        slo_boost in any::<bool>(),
+        capped in any::<bool>(),
+        quantum in 40u64..400,
+        budget in 60u64..320,
+    ) {
+        let trace = ArrivalTrace::generate(
+            seed,
+            3_000,
+            &[
+                ArrivalProcess::Poisson { mean_gap },
+                ArrivalProcess::OnOff {
+                    mean_gap_on: 15.0,
+                    mean_burst: 4.0,
+                    mean_gap_off: mean_gap * 3.0,
+                },
+            ],
+        );
+        let cfg = OpenLoopConfig {
+            sched: [
+                Scheduler::Fifo,
+                Scheduler::LeastLoaded,
+                Scheduler::CriticalPath,
+                Scheduler::FairShare,
+            ][which as usize % 4],
+            slo_boost,
+            max_round_cost: capped.then_some(quantum),
+        };
+        let mode = if event { SimMode::Event } else { SimMode::Wave };
+        let chip = ChipConfig::new(2, LacConfig::default()).with_sim_mode(mode);
+        let (fixed, dynamic) = match backend {
+            0 => both_drivers(
+                || LacService::<ProgramJob>::new(chip),
+                |b, t| b.add_tenant(t),
+                &trace,
+                budget,
+                cfg,
+            ),
+            chips => both_drivers(
+                || LacCluster::<ProgramJob>::new(ClusterConfig::homogeneous(chips, chip)),
+                |b, t| b.add_tenant(t),
+                &trace,
+                budget,
+                cfg,
+            ),
+        };
+        prop_assert_eq!(fixed, dynamic);
+    }
 
     #[test]
     fn percentiles_are_monotone_and_bound_the_samples(
