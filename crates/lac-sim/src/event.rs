@@ -39,6 +39,20 @@
 //! busy, the loop pops the next event — a transfer arrival or a fault
 //! tick — and jumps the clock there, accounting the gap as a stall.
 //!
+//! **Dispatch** serves each free core from its chip's `ReadyQueues`
+//! rather than a scan of the whole graph, so a run costs O(n log n) in
+//! its job count, not O(n²). A job enters its chip's queues the tick its
+//! last parent retires: a *ready* min-heap keyed by the policy
+//! (`(Reverse(critical path), id)`, or `id` alone for `Fifo` and
+//! `LeastLoaded`) once its inputs are on chip, or a *waiting* min-heap on
+//! `(ready_at, id)` until a cut-edge transfer lands. `FairShare` keeps one
+//! ready heap per tenant and compares the tenants' best jobs under the
+//! streaming tenant comparator, so a pick is O(tenants) on top of the heap
+//! pop. Entries a fault strands on a dead chip are never read (dead chips
+//! take no dispatch), and every popped entry is re-validated before use.
+//! The pick is the linear scan's pick exactly; unit tests assert that on
+//! every dispatch against the scan kept as a test oracle.
+//!
 //! **Equivalence contract** (property-tested in `tests/event_props.rs`):
 //! outputs are bit-identical between [`SimMode::Wave`] and
 //! [`SimMode::Event`] on every graph — job outputs are
@@ -134,6 +148,114 @@ impl Ord for Event {
     }
 }
 
+/// A min-heap entry in a chip's ready set: `(Reverse(rank), id)`.
+type ReadyKey = Reverse<(Reverse<u64>, usize)>;
+
+/// The per-chip dispatch queues of one event run (see the module doc).
+/// Entries are never removed eagerly: a pick pops and re-validates them
+/// against the run's `queued`/`chip_of`/`ready_at` state.
+struct ReadyQueues {
+    /// Ready heap each job joins: its tenant under `FairShare`, else 0.
+    class: Vec<usize>,
+    /// Heap rank of each job: its critical path under `CriticalPath` and
+    /// `FairShare`, 0 (pure id order) under `Fifo` and `LeastLoaded`.
+    rank: Vec<u64>,
+    /// `ready[chip][class]`: queued jobs whose inputs are on `chip`.
+    ready: Vec<Vec<BinaryHeap<ReadyKey>>>,
+    /// `waiting[chip]`: queued jobs with a transfer still in flight, on
+    /// `(ready_at, id)`.
+    waiting: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
+}
+
+impl ReadyQueues {
+    fn new(
+        sched: Scheduler,
+        chips: usize,
+        costs: &[u64],
+        children: &[Vec<usize>],
+        tenant_of: &[usize],
+        tenants: usize,
+    ) -> Self {
+        let n = costs.len();
+        let (class, classes) = match sched {
+            Scheduler::FairShare => (tenant_of.to_vec(), tenants),
+            _ => (vec![0; n], 1),
+        };
+        let rank = match sched {
+            Scheduler::Fifo | Scheduler::LeastLoaded => vec![0; n],
+            Scheduler::CriticalPath | Scheduler::FairShare => critical_paths(costs, children),
+        };
+        Self {
+            class,
+            rank,
+            ready: (0..chips)
+                .map(|_| vec![BinaryHeap::new(); classes])
+                .collect(),
+            waiting: vec![BinaryHeap::new(); chips],
+        }
+    }
+
+    /// Queue job `j` on `chip`: ready now, or waiting until `ready_at`.
+    fn push(&mut self, j: usize, chip: usize, ready_at: u64, now: u64) {
+        if ready_at <= now {
+            self.ready[chip][self.class[j]].push(Reverse((Reverse(self.rank[j]), j)));
+        } else {
+            self.waiting[chip].push(Reverse((ready_at, j)));
+        }
+    }
+
+    /// Pop `chip`'s best ready job at `now` under the run's policy. With
+    /// one ready heap that is its top; under `FairShare` the tenants' tops
+    /// are compared by boost, then the `usage × weight` cross-product (the
+    /// live counters), then the heap key — the scan's comparator.
+    #[allow(clippy::too_many_arguments)] // the full deterministic pick context
+    fn pick(
+        &mut self,
+        chip: usize,
+        now: u64,
+        queued: &[bool],
+        chip_of: &[usize],
+        ready_at: &[u64],
+        usage: &[u64],
+        weights: &[u64],
+        boost: &[u64],
+    ) -> Option<usize> {
+        while let Some(&Reverse((tick, j))) = self.waiting[chip].peek() {
+            if tick > now {
+                break;
+            }
+            self.waiting[chip].pop();
+            if queued[j] && chip_of[j] == chip && ready_at[j] == tick {
+                self.push(j, chip, tick, now);
+            }
+        }
+        let mut best: Option<(usize, ReadyKey)> = None;
+        for (c, heap) in self.ready[chip].iter_mut().enumerate() {
+            while let Some(&Reverse((_, j))) = heap.peek() {
+                if queued[j] && chip_of[j] == chip {
+                    break;
+                }
+                heap.pop();
+            }
+            let Some(&key) = heap.peek() else { continue };
+            let better = best.is_none_or(|(b, bkey)| {
+                let uc = usage[c] as u128 * weights[b].max(1) as u128;
+                let ub = usage[b] as u128 * weights[c].max(1) as u128;
+                boost[c]
+                    .cmp(&boost[b])
+                    .then(uc.cmp(&ub))
+                    .then(bkey.cmp(&key))
+                    .is_lt()
+            });
+            if better {
+                best = Some((c, key));
+            }
+        }
+        let (c, _) = best?;
+        self.ready[chip][c].pop().map(|Reverse((_, j))| j)
+    }
+}
+
 /// Schedule an event, stamping the next sequence number — pushes only
 /// happen at deterministic points, so the stamp (the final heap
 /// tie-break) is itself deterministic.
@@ -193,11 +315,20 @@ pub(crate) fn drive_event<T>(
     let mut per_tenant = vec![TenantDelta::default(); weights.len()];
     let mut events = EventLog::new();
 
-    let priority = critical_paths(costs, children);
     let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
     let mut ready_at = vec![0u64; n];
     // In the dispatchable pool: all parents done, not running/completed.
     let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
+    let mut queues = ReadyQueues::new(sched, chips, costs, children, tenant_of, weights.len());
+    for j in (0..n).filter(|&j| queued[j]) {
+        queues.push(j, chip_of[j], 0, 0);
+    }
+    // Uncompleted cost placed on each chip — the requeue rule's load,
+    // exact for every alive chip (a dead chip's entry is never read).
+    let mut remaining = vec![0u64; chips];
+    for j in 0..n {
+        remaining[chip_of[j]] += costs[j].max(1);
+    }
     let mut running = vec![false; n];
     let mut completed_mask = vec![false; n];
     let mut revoked = vec![false; n];
@@ -282,15 +413,27 @@ pub(crate) fn drive_event<T>(
     // Move job `j` off the dead chip `from` onto the surviving chip with
     // the least remaining (uncompleted) cost, ties to the lower index —
     // the wave coordinator's requeue rule. Completed parents on other
-    // chips pay one fresh modeled transfer to the job's new home.
+    // chips pay one fresh modeled transfer to the job's new home. A job
+    // already queued joins its new chip's queues.
     macro_rules! requeue {
-        ($j:expr, $from:expr, $load:expr) => {{
+        ($j:expr, $from:expr) => {{
             let j = $j;
+            #[cfg(test)]
+            for c in (0..chips).filter(|&c| !dead[c]) {
+                let scan: u64 = (0..n)
+                    .filter(|&k| !completed_mask[k] && chip_of[k] == c)
+                    .map(|k| costs[k].max(1))
+                    .sum();
+                assert_eq!(
+                    remaining[c], scan,
+                    "chip {c}'s remaining load at tick {now}"
+                );
+            }
             let target = (0..chips)
                 .filter(|&c| !dead[c])
-                .min_by_key(|&c| ($load[c], c))
+                .min_by_key(|&c| (remaining[c], c))
                 .expect("a survivor exists (checked at the kill)");
-            $load[target] += costs[j].max(1);
+            remaining[target] += costs[j].max(1); // `$from` is dead: never read again
             events.push(TraceEvent::Requeue {
                 job: j,
                 from_chip: $from,
@@ -304,6 +447,9 @@ pub(crate) fn drive_event<T>(
                     let arrival = charge_transfer!(p, j, target);
                     ready_at[j] = ready_at[j].max(arrival);
                 }
+            }
+            if queued[j] {
+                queues.push(j, target, ready_at[j], now);
             }
         }};
     }
@@ -342,15 +488,9 @@ pub(crate) fn drive_event<T>(
                     }
                     // Everything else the chip owned requeues now,
                     // least-remaining-load-first, jobs in id order.
-                    let mut load = vec![0u64; chips];
-                    for j in 0..n {
-                        if !completed_mask[j] && !dead[chip_of[j]] {
-                            load[chip_of[j]] += costs[j].max(1);
-                        }
-                    }
                     for j in 0..n {
                         if chip_of[j] == f.chip && !completed_mask[j] && !running[j] {
-                            requeue!(j, f.chip, load);
+                            requeue!(j, f.chip);
                         }
                     }
                 }
@@ -372,16 +512,11 @@ pub(crate) fn drive_event<T>(
                             end: now,
                             discarded: true,
                         });
-                        let mut load = vec![0u64; chips];
-                        for j in 0..n {
-                            if !completed_mask[j] && !dead[chip_of[j]] {
-                                load[chip_of[j]] += costs[j].max(1);
-                            }
-                        }
-                        requeue!(job, chip, load);
                         queued[job] = true;
+                        requeue!(job, chip);
                     } else {
                         completed_mask[job] = true;
+                        remaining[chip] -= costs[job].max(1);
                         completed_count += 1;
                         completion_tick[job] = now;
                         events.push(TraceEvent::Job {
@@ -403,6 +538,7 @@ pub(crate) fn drive_event<T>(
                             ready_at[child] = ready_at[child].max(arrival);
                             if indegree[child] == 0 {
                                 queued[child] = true;
+                                queues.push(child, chip_of[child], ready_at[child], now);
                             }
                         }
                     }
@@ -426,10 +562,27 @@ pub(crate) fn drive_event<T>(
                 if core_job[g].is_some() {
                     continue;
                 }
-                let Some(j) = pick_ready(
-                    sched, &queued, chip_of, &ready_at, now, chip, &priority, tenant_of, usage,
-                    weights, boost,
-                ) else {
+                let pick = queues.pick(
+                    chip, now, &queued, chip_of, &ready_at, usage, weights, boost,
+                );
+                #[cfg(test)]
+                if tests::CHECK_PICKS.with(std::cell::Cell::get) {
+                    let scan = pick_ready(
+                        sched,
+                        &queued,
+                        chip_of,
+                        &ready_at,
+                        now,
+                        chip,
+                        &queues.rank,
+                        tenant_of,
+                        usage,
+                        weights,
+                        boost,
+                    );
+                    assert_eq!(pick, scan, "chip {chip} at tick {now}: queue pick vs scan");
+                }
+                let Some(j) = pick else {
                     break; // nothing ready on this chip for any free core
                 };
                 queued[j] = false;
@@ -561,13 +714,16 @@ pub(crate) fn drive_event<T>(
     })
 }
 
-/// The per-core dispatch pick: the event-mode reading of the wave
-/// planners, one job at a time. `Fifo`/`LeastLoaded` take the lowest
-/// ready id (placement, their wave-mode difference, is now the free core
-/// itself); `CriticalPath` takes the longest remaining path;
-/// `FairShare` replays the streaming tenant comparator of
+/// The dispatch pick as a linear scan over every job — the reference
+/// `ReadyQueues::pick` must match on every dispatch, kept as a test
+/// oracle. It is the event-mode reading of the wave planners, one job at
+/// a time: `Fifo`/`LeastLoaded` take the lowest ready id (placement,
+/// their wave-mode difference, is now the free core itself);
+/// `CriticalPath` takes the longest remaining path; `FairShare` replays
+/// the streaming tenant comparator of
 /// [`crate::service::plan_wave_tenanted_slo`] against the live usage
 /// counters.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)] // the full deterministic pick context
 fn pick_ready(
     sched: Scheduler,
@@ -605,7 +761,20 @@ mod tests {
     use super::*;
     use crate::chip::ChipConfig;
     use crate::config::LacConfig;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
     use std::collections::VecDeque;
+    use std::time::Instant;
+
+    thread_local! {
+        /// Whether `drive_event` checks every queue pick against the
+        /// `pick_ready` scan. On by default; the timing test turns it off
+        /// on its own thread, since the scan is the quadratic cost it
+        /// measures away.
+        pub(super) static CHECK_PICKS: Cell<bool> = const { Cell::new(true) };
+    }
 
     /// A pure in-memory backend: `dispatch` queues `(core, job)`,
     /// `collect` pops and reports the job's cost hint as its measured
@@ -701,6 +870,183 @@ mod tests {
             collect,
         )
         .expect("event run")
+    }
+
+    /// Everything one `drive_event` call reads, so a run can be replayed.
+    struct Scenario {
+        topo: ClusterConfig,
+        costs: Vec<u64>,
+        words: Vec<u64>,
+        parents: Vec<Vec<usize>>,
+        children: Vec<Vec<usize>>,
+        chip_of: Vec<usize>,
+        faults: Vec<FaultEvent>,
+        tenant_of: Vec<usize>,
+        weights: Vec<u64>,
+        usage: Vec<u64>,
+        boost: Vec<u64>,
+        sched: Scheduler,
+    }
+
+    impl Scenario {
+        /// Run the scenario on fresh copies of its mutable state; returns
+        /// the run, the final placement and the final usage counters.
+        fn run(&self) -> (Result<CoordRun<usize>, SimError>, Vec<usize>, Vec<u64>) {
+            let (_q, dispatch, collect) = fake_backend(self.costs.clone());
+            let mut chip_of = self.chip_of.clone();
+            let mut dead = vec![false; self.topo.chips.len()];
+            let mut usage = self.usage.clone();
+            let r = drive_event(
+                &self.topo,
+                &self.costs,
+                &self.words,
+                &self.parents,
+                &self.children,
+                &mut chip_of,
+                &mut dead,
+                &self.faults,
+                0,
+                &self.tenant_of,
+                &self.weights,
+                &mut usage,
+                &self.boost,
+                self.sched,
+                dispatch,
+                collect,
+            );
+            (r, chip_of, usage)
+        }
+    }
+
+    /// A random DAG (ids in topological order) on 1–3 chips of 1–3 cores
+    /// each, 1–3 tenants with random weights, boosts and starting usage, a
+    /// random link (slow links make `ready_at > now` common) and up to
+    /// `chips - 1` kills, timed to land while jobs run.
+    fn random_scenario(seed: u64) -> Scenario {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..48usize);
+        let chips = rng.gen_range(1..=3usize);
+        let cores: Vec<usize> = (0..chips).map(|_| rng.gen_range(1..=3usize)).collect();
+        let tenants = rng.gen_range(1..=3usize);
+        let costs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..20u64)).collect();
+        let words: Vec<u64> = (0..n).map(|_| rng.gen_range(1..16u64)).collect();
+        let mut parents = vec![Vec::new(); n];
+        let mut children = vec![Vec::new(); n];
+        for (j, ps) in parents.iter_mut().enumerate().skip(1) {
+            for _ in 0..rng.gen_range(0..=2usize) {
+                let p = rng.gen_range(0..j);
+                if !ps.contains(&p) {
+                    ps.push(p);
+                    children[p].push(j);
+                }
+            }
+        }
+        let horizon = costs.iter().sum::<u64>() / cores.iter().sum::<usize>() as u64 + 1;
+        let faults = (0..rng.gen_range(0..chips))
+            .map(|_| FaultEvent {
+                tick: rng.gen_range(0..horizon),
+                chip: rng.gen_range(0..chips),
+            })
+            .collect();
+        Scenario {
+            topo: topo(&cores, rng.gen_range(1..=4u64), rng.gen_range(0..40u64)),
+            chip_of: (0..n).map(|_| rng.gen_range(0..chips)).collect(),
+            tenant_of: (0..n).map(|_| rng.gen_range(0..tenants)).collect(),
+            weights: (0..tenants).map(|_| rng.gen_range(0..4u64)).collect(),
+            usage: (0..tenants).map(|_| rng.gen_range(0..30u64)).collect(),
+            boost: (0..tenants)
+                .map(|_| [0, 1, u64::MAX][rng.gen_range(0..3usize)])
+                .collect(),
+            sched: [
+                Scheduler::Fifo,
+                Scheduler::LeastLoaded,
+                Scheduler::CriticalPath,
+                Scheduler::FairShare,
+            ][rng.gen_range(0..4usize)],
+            costs,
+            words,
+            parents,
+            children,
+            faults,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        // Every pick inside these runs is asserted equal to the linear
+        // scan's (`CHECK_PICKS` is on); a rerun reproduces the whole
+        // `CoordRun` — outputs, assignment, events, stats.
+        #[test]
+        fn queue_picks_match_the_scan_and_reruns_are_identical(seed in any::<u64>()) {
+            let sc = random_scenario(seed);
+            let (first, chip_of, usage) = sc.run();
+            let (second, chip_of2, usage2) = sc.run();
+            prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
+            prop_assert_eq!(chip_of, chip_of2);
+            prop_assert_eq!(usage, usage2);
+            if let Ok(r) = first {
+                prop_assert_eq!(r.outputs, (0..sc.costs.len()).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// A layered DAG, `WIDTH` jobs per layer, each job fed by two jobs of
+    /// the layer above, placed round-robin over 2 chips × 2 cores, so
+    /// most edges cross chips and pay a transfer.
+    fn layered_scenario(jobs: usize, sched: Scheduler) -> Scenario {
+        const WIDTH: usize = 64;
+        let mut parents = vec![Vec::new(); jobs];
+        let mut children = vec![Vec::new(); jobs];
+        for (j, ps) in parents.iter_mut().enumerate().skip(WIDTH) {
+            let (layer, i) = (j / WIDTH, j % WIDTH);
+            for p in [i, (i + 1) % WIDTH].map(|k| (layer - 1) * WIDTH + k) {
+                ps.push(p);
+                children[p].push(j);
+            }
+        }
+        Scenario {
+            topo: topo(&[2, 2], 4, 8),
+            costs: (0..jobs).map(|j| 1 + (j as u64 * 7) % 13).collect(),
+            words: vec![16; jobs],
+            parents,
+            children,
+            chip_of: (0..jobs).map(|j| j % 2).collect(),
+            faults: Vec::new(),
+            tenant_of: (0..jobs).map(|j| j % 3).collect(),
+            weights: vec![1, 2, 3],
+            usage: vec![0; 3],
+            boost: vec![u64::MAX; 3],
+            sched,
+        }
+    }
+
+    // The complexity contract of the dispatch path: host time per job
+    // may grow at most 4x from 1k to 32k jobs (a per-pick scan of the
+    // graph grows it ~30x). Best of 3 runs, no threads, oracle off.
+    #[test]
+    fn event_dispatch_scales_near_linearly() {
+        CHECK_PICKS.with(|c| c.set(false));
+        let us_per_job = |jobs: usize, sched: Scheduler| {
+            let sc = layered_scenario(jobs, sched);
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    let (r, ..) = sc.run();
+                    let secs = t.elapsed().as_secs_f64();
+                    assert_eq!(r.expect("layered run").outputs.len(), jobs);
+                    secs * 1e6 / jobs as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        for sched in [Scheduler::CriticalPath, Scheduler::FairShare] {
+            let (small, large) = (us_per_job(1 << 10, sched), us_per_job(1 << 15, sched));
+            let growth = large / small;
+            assert!(
+                growth <= 4.0,
+                "{sched:?}: {small:.2} us/job at 1k, {large:.2} us/job at 32k ({growth:.2}x)"
+            );
+        }
     }
 
     #[test]
