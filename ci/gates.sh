@@ -64,16 +64,32 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 5: one worker pool. Every door runs its jobs on the scoped pool in
-# crates/lac-sim/src/coord.rs (`scoped_workers`); the service is a
-# one-chip cluster and owns no threads. A thread spawn, thread scope or
-# mpsc channel anywhere else in library code would be a second pool, free
-# to drift from the first in abort, panic and shutdown handling.
+# Gate 5: one worker pool. Every door runs its jobs on the pool in
+# crates/lac-sim/src/coord.rs (`scoped_workers`: workers reused across
+# runs from one process-wide idle cache, released by an end-of-run
+# barrier); the service is a one-chip cluster and owns no threads. A
+# thread spawn, thread scope or mpsc channel anywhere else in library
+# code would be a second pool, free to drift from the first in abort,
+# panic and shutdown handling.
 hits=$(grep -rnE 'thread::(spawn|scope|Builder)|mpsc::' --include='*.rs' \
   ./crates/*/src ./src 2>/dev/null \
   | grep -v 'crates/lac-sim/src/coord\.rs' || true)
 if [ -n "$hits" ]; then
   echo "threads or channels outside the one worker pool (coord.rs):"
+  echo "$hits"
+  fail=1
+fi
+
+# Gate 6: `unsafe` lives in one place. The worker pool lends each run's
+# engines and job resolver to reused threads with their lifetimes erased,
+# which is sound only under its end-of-run barrier; that code, in
+# crates/lac-sim/src/coord.rs, is the only library code allowed to say
+# `unsafe` (lac-sim also denies clippy::undocumented_unsafe_blocks, so
+# each block there carries a SAFETY comment naming the barrier).
+hits=$(grep -rnwE 'unsafe' --include='*.rs' ./crates/*/src ./src 2>/dev/null \
+  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+if [ -n "$hits" ]; then
+  echo "unsafe outside the worker pool (coord.rs):"
   echo "$hits"
   fail=1
 fi

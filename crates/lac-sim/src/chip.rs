@@ -353,7 +353,7 @@ impl ChipStats {
 /// A multi-core chip: `S` engine shards plus the scheduler-facing graph
 /// door, [`LacChip::run_graph`].
 ///
-/// `LacChip` borrows the calling thread and scoped workers per run; for a
+/// `LacChip` borrows the calling thread and pooled workers per run; for a
 /// submission service with tenants, admission and a lifetime session
 /// clock, see [`crate::service::LacService`].
 ///
@@ -442,8 +442,8 @@ impl LacChip {
         &mut self.shards[i]
     }
 
-    /// Crate-internal: every shard at once — the cluster spawns one
-    /// scoped worker per shard across all of its chips.
+    /// Crate-internal: every shard at once — the cluster lends each one
+    /// to its own pooled worker across all of its chips.
     pub(crate) fn shards_mut(&mut self) -> &mut [LacEngine] {
         &mut self.shards
     }
@@ -454,12 +454,15 @@ impl LacChip {
     /// ([`ChipConfig::sim_mode`] picks wave or event mode; see the
     /// [`crate::service`] module docs): in wave mode each wave is planned
     /// up front from the jobs' cost hints, then every core executes its
-    /// bucket in plan order on its own scoped worker thread. Outputs come
-    /// back in submission order regardless of placement.
+    /// bucket in plan order on its own pooled worker thread. Outputs come
+    /// back in submission order regardless of placement, and
+    /// [`GraphRun::events`] carries the run's trace.
     ///
     /// On a simulation error the earliest *observed* error (by core
-    /// index, then bucket position) is returned; the other workers stop
-    /// at their next job boundary and no later wave is dispatched. (If
+    /// index, then bucket position; a job panic, reported as
+    /// [`crate::error::HazardKind::JobPanicked`], wins over a hazard) is
+    /// returned; the other workers stop at their next job boundary and
+    /// no later wave is dispatched. (If
     /// several jobs of one wave would fail, which of them still ran
     /// before seeing the abort flag is host-timing dependent, so the
     /// reported error may vary — determinism covers successful runs, not

@@ -507,9 +507,11 @@ impl ClusterSession {
 /// completions into the per-core and per-tenant meters and `outputs`, and
 /// returning the completed job indices. Among observed failures, the job
 /// earliest by dispatch slot (core index, bucket position) wins, whatever
-/// order the host delivered the reports in; panics are re-raised first
-/// (they are harness bugs, not schedule rejections). Once this returns,
-/// nothing is in flight, so the backend stays usable.
+/// order the host delivered the reports in; panics win over simulation
+/// errors (they are job bugs, not schedule rejections) and come back as
+/// [`HazardKind::JobPanicked`] at the wave's session-clock start tick
+/// `clock`. Once this returns, nothing is in flight, so the backend
+/// stays usable.
 ///
 /// `job_cycles[j]` receives job `j`'s own busy cycles on completion —
 /// the per-job span the wave loop's event log reconstructs
@@ -518,6 +520,7 @@ impl ClusterSession {
 #[allow(clippy::too_many_arguments)] // the wave's full accounting context
 fn collect_wave<T>(
     dispatched: usize,
+    clock: u64,
     mut collect: impl FnMut() -> Done<T>,
     dispatch_slot: &[(usize, usize)],
     tenant_of: &[usize],
@@ -561,8 +564,8 @@ fn collect_wave<T>(
             }
         }
     }
-    if let Some(((core, pos), msg)) = first_panic {
-        panic!("job panicked on core {core} (bucket position {pos}): {msg}");
+    if let Some(((core, _), message)) = first_panic {
+        return Err(SimError::job_panicked(clock, core, message));
     }
     if let Some((_, e)) = first_err {
         return Err(e);
@@ -895,6 +898,7 @@ pub(crate) fn drive_cluster<T>(
         let mut wave_cycles = vec![0u64; total_cores];
         let mut completed = collect_wave(
             dispatched,
+            base + clock,
             &mut collect,
             &dispatch_slot,
             tenant_of,
@@ -1039,8 +1043,8 @@ pub(crate) fn drive_cluster<T>(
 /// admission.
 ///
 /// Like [`LacChip`], a cluster borrows the calling thread and the one
-/// scoped worker pool per run: one worker per core per chip, each owning
-/// its shard's [`crate::engine::LacEngine`] for the duration of the run.
+/// worker pool per run: one worker per core per chip, each holding its
+/// shard's [`crate::engine::LacEngine`] for the duration of the run.
 /// Shard state and session meters persist across runs — the chips are
 /// owned, not rebuilt. [`crate::service::LacService`] is a one-chip
 /// cluster.
@@ -1122,7 +1126,7 @@ impl Fleet {
         })
     }
 
-    /// Partition a job pool over the alive chips, spawn one scoped worker
+    /// Partition a job pool over the alive chips, lend one pooled worker
     /// per core per chip, and [`coordinate`] the pool. `base` is the
     /// session clock at run start; `job_of` resolves a pool index to the
     /// job to run (identity for [`LacCluster::run_graph`], the owner map
@@ -1399,9 +1403,9 @@ impl<J: ChipJob> LacCluster<J> {
     /// banked-credit cap and failure semantics as
     /// [`crate::service::LacService::run_admitted`] — both doors run the
     /// same tenancy round. On success the round folds into the cluster
-    /// session and each tenant's [`TenantSession`]; on error or a job
-    /// panic the round's graphs are dropped and their in-flight cost
-    /// drains.
+    /// session and each tenant's [`TenantSession`]; on error (a job
+    /// panic is [`HazardKind::JobPanicked`]) the round's graphs are
+    /// dropped and their in-flight cost drains.
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ClusterRound<J::Output>, SimError> {
         let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
@@ -1861,9 +1865,9 @@ mod tests {
 
     #[test]
     fn panicking_round_releases_admitted_cost() {
-        // A job panic unwinds out of the round; the tenant's admitted cost
-        // must still drain, or every later enqueue bounces off the budget
-        // for good — on one chip and across two.
+        // A job panic fails the round with a typed error; the tenant's
+        // admitted cost must still drain, or every later enqueue bounces
+        // off the budget for good — on one chip and across two.
         struct MaybePanic(bool, ProgramJob);
         impl ChipJob for MaybePanic {
             type Output = ExecStats;
@@ -1882,10 +1886,11 @@ mod tests {
             let t = cluster.add_tenant(TenantConfig::new("unlucky").with_admission_budget(15));
             let bad: JobGraph<MaybePanic> = [MaybePanic(true, job(0, 10))].into_iter().collect();
             cluster.enqueue(t, bad).unwrap();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cluster.run_admitted(Scheduler::FairShare)
-            }))
-            .expect_err("the job's panic surfaces");
+            let err = cluster.run_admitted(Scheduler::FairShare).unwrap_err();
+            assert!(
+                matches!(err.kind, crate::error::HazardKind::JobPanicked { .. }),
+                "{chips} chips: {err:?}"
+            );
             assert_eq!(cluster.tenant_session(t).inflight_cost, 0, "{chips} chips");
             let ok: JobGraph<MaybePanic> = [MaybePanic(false, job(0, 10))].into_iter().collect();
             cluster.enqueue(t, ok).expect("the budget was released");

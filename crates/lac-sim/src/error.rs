@@ -97,6 +97,28 @@ pub enum HazardKind {
         /// Total chips in the cluster — all of them dead.
         chips: usize,
     },
+    /// A job panicked while it ran. The worker caught the panic and the
+    /// run stopped like on any other job failure, so nothing unwinds
+    /// through a door; `cycle` carries the session-clock tick the job
+    /// was dispatched at.
+    JobPanicked {
+        /// Global core index (chips laid end to end) the job ran on.
+        core: usize,
+        /// The panic payload if it was a string, else a placeholder.
+        message: String,
+    },
+}
+
+impl SimError {
+    /// A [`HazardKind::JobPanicked`] report for a job dispatched at
+    /// session-clock tick `cycle` on global core `core`.
+    pub(crate) fn job_panicked(cycle: u64, core: usize, message: String) -> Self {
+        Self {
+            cycle: cycle as usize,
+            pe: None,
+            kind: HazardKind::JobPanicked { core, message },
+        }
+    }
 }
 
 impl fmt::Display for SimError {

@@ -609,7 +609,7 @@ pub(crate) fn drive_event<T>(
         if batch > 0 {
             let mut done_batch: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(batch);
             let mut first_err: Option<(usize, SimError)> = None;
-            let mut first_panic: Option<(usize, String)> = None;
+            let mut first_panic: Option<(usize, usize, String)> = None;
             for _ in 0..batch {
                 let done = collect();
                 let slot = dispatch_seq_of[done.job];
@@ -624,14 +624,14 @@ pub(crate) fn drive_event<T>(
                         }
                     }
                     JobOutcome::Panicked(msg) => {
-                        if first_panic.as_ref().is_none_or(|(s, _)| slot < *s) {
-                            first_panic = Some((slot, msg));
+                        if first_panic.as_ref().is_none_or(|(s, ..)| slot < *s) {
+                            first_panic = Some((slot, done.core, msg));
                         }
                     }
                 }
             }
-            if let Some((_, msg)) = first_panic {
-                panic!("job panicked in event mode: {msg}");
+            if let Some((_, core, message)) = first_panic {
+                return Err(SimError::job_panicked(base + now, core, message));
             }
             if let Some((_, e)) = first_err {
                 return Err(e);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Cycle-accurate simulator of the Linear Algebra Core (LAC).
 //!
 //! The LAC (Figure 1.1 / 3.1 of the dissertation) is an `nr × nr` mesh of

@@ -34,7 +34,7 @@
 //!   and the static/uncore terms of `lac-power`'s chip energy model see
 //!   dependency stalls, not just busy time.
 //! * **[`LacService`]** — a one-chip [`LacCluster`]: its jobs run on
-//!   the same scoped worker pool, wave loop and event core as every other
+//!   the same worker pool, wave loop and event core as every other
 //!   door, and its shards persist across submissions. On top it
 //!   accumulates a [`ServiceSession`]: per-core meters, a service clock
 //!   summing submission makespans (plus explicit
@@ -60,8 +60,9 @@
 //!   in one crate-internal `Tenancy` that the cluster owns and the
 //!   service reaches as a one-chip cluster, so tenancy behaves
 //!   identically at every deployment scale — including on failure: a
-//!   round's admitted cost is released on every exit, a panicking job's
-//!   unwind included.
+//!   round's admitted cost is released on every exit. A panicking job
+//!   fails its round with [`crate::error::HazardKind::JobPanicked`]
+//!   rather than unwinding through the door.
 //!
 //! Data flows between dependent jobs through whatever shared state the
 //! jobs close over (e.g. an `Arc<Mutex<…>>` — see `lac-kernels`'
@@ -407,7 +408,8 @@ pub(crate) enum JobOutcome<T> {
     Failed(SimError),
     /// The job itself panicked (caught so the worker can still report —
     /// an unreported job would deadlock the coordinator's wave
-    /// collection). The coordinator re-raises after the wave drains.
+    /// collection). The coordinator reports it as
+    /// [`crate::error::HazardKind::JobPanicked`] once the batch drains.
     Panicked(String),
 }
 
@@ -441,6 +443,10 @@ pub struct GraphRun<T> {
     /// Busy-cycle breakdown and aggregate; `makespan_cycles` is the sum of
     /// wave spans, so it *includes* dependency stalls.
     pub stats: ChipStats,
+    /// The run's observability log on the run-relative clock, one `Job`
+    /// event per executed job — what [`EventLog::to_chrome_trace`]
+    /// exports.
+    pub events: EventLog,
 }
 
 /// Per-tenant meter deltas of one coordinated run.
@@ -805,8 +811,8 @@ impl<J: ChipJob> Tenancy<J> {
     /// tenant meters. Whatever `run` returns alongside the coordinated
     /// run (`X`) is passed through. The round's admitted cost drains from
     /// the tenants' in-flight meters on *every* exit — success, a typed
-    /// error, or a job panic unwinding through `run` — so no failure can
-    /// pin a tenant's admission budget.
+    /// error (a job panic included), or an unwind through `run` — so no
+    /// failure can pin a tenant's admission budget.
     pub(crate) fn run_round<X, T>(
         &mut self,
         boost: &[u64],
@@ -1195,6 +1201,7 @@ mod tests {
     use crate::chip::{ChipConfig, LacChip, ProgramJob};
     use crate::config::LacConfig;
     use crate::engine::LacEngine;
+    use crate::error::HazardKind;
     use crate::event::SimMode;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
 
@@ -1647,15 +1654,19 @@ mod tests {
     fn panicking_job_propagates_instead_of_deadlocking() {
         let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
         let graph: JobGraph<PanickyJob> = [PanickyJob, PanickyJob].into_iter().collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            chip.run_graph(&graph, Scheduler::Fifo)
-        }))
-        .expect_err("the job's panic must surface");
-        let msg = caught.downcast_ref::<String>().expect("panic message");
-        assert!(
-            msg.contains("operand shape rejected"),
-            "panic message lost: {msg}"
-        );
+        let err = chip.run_graph(&graph, Scheduler::Fifo).unwrap_err();
+        match err.kind {
+            HazardKind::JobPanicked { core, message } => {
+                assert!(core < 2, "core {core} is not on the chip");
+                assert_eq!(message, "operand shape rejected");
+            }
+            other => panic!("expected JobPanicked, got {other:?}"),
+        }
+        // The chip has no admission budget to release; its next run on
+        // the same shards completes.
+        let ok: JobGraph<ProgramJob> = (0..4).map(|i| job(i, 1)).collect();
+        let run = chip.run_graph(&ok, Scheduler::Fifo).unwrap();
+        assert_eq!(run.outputs.len(), 4, "the chip outlives a job panic");
     }
 
     /// A job that panics (`true`) or runs its program normally.
@@ -1674,9 +1685,9 @@ mod tests {
 
     #[test]
     fn service_survives_a_panicking_job() {
-        // Mixed graph: the panicking job is caught and re-raised by the
-        // coordinator after the wave drains, and the service keeps
-        // serving.
+        // Mixed graph: the panicking job is caught, the coordinator
+        // reports it as a typed error after the wave drains, and the
+        // service keeps serving.
         let mut svc: LacService<MaybePanic> =
             LacService::new(ChipConfig::new(2, LacConfig::default()));
         let bad: JobGraph<MaybePanic> = vec![
@@ -1686,13 +1697,42 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit(bad, Scheduler::Fifo)
-        }))
-        .expect_err("panic surfaces through submit");
+        let err = svc.submit(bad, Scheduler::Fifo).unwrap_err();
+        assert!(
+            matches!(&err.kind, HazardKind::JobPanicked { message, .. } if message == "bad operand"),
+            "{err:?}"
+        );
+        // `submit` admits nothing, so no budget is held; the failed graph
+        // is not counted and the next submission completes.
+        assert_eq!(svc.session().graphs_run, 0, "failed graphs do not count");
         let ok: JobGraph<MaybePanic> = (0..4).map(|i| MaybePanic(false, job(i, 1))).collect();
         let run = svc.submit(ok, Scheduler::LeastLoaded).unwrap();
         assert_eq!(run.outputs.len(), 4, "the service outlives a job panic");
+        assert_eq!(svc.session().graphs_run, 1);
+    }
+
+    #[test]
+    fn one_chip_submit_exports_its_trace() {
+        let mut svc: LacService<ProgramJob> =
+            LacService::new(ChipConfig::new(2, LacConfig::default()));
+        let mut g = JobGraph::new();
+        let a = g.add(job(0, 1));
+        let b = g.add_after(job(3, 2), &[a]);
+        g.add_after(job(1, 1), &[a]);
+        g.add_after(job(2, 1), &[b]);
+        let run = svc.submit(g, Scheduler::CriticalPath).unwrap();
+        let jobs = run
+            .events
+            .count(|e| matches!(e, crate::trace::TraceEvent::Job { .. }));
+        assert_eq!(jobs, 4, "one Job event per job");
+        let json = run.events.to_chrome_trace();
+        assert_eq!(json.matches("\"cat\":\"job\"").count(), 4);
+        for j in 0..4 {
+            assert!(
+                json.contains(&format!("\"name\":\"job {j}\"")),
+                "job {j}: {json}"
+            );
+        }
     }
 
     #[test]
@@ -1720,19 +1760,20 @@ mod tests {
 
     #[test]
     fn panicking_round_releases_admitted_cost() {
-        // A job panic unwinds out of the round; the tenant's admitted cost
-        // must still drain, or every later enqueue bounces off the budget
-        // for good.
+        // A job panic fails the round with a typed error; the tenant's
+        // admitted cost must still drain, or every later enqueue bounces
+        // off the budget for good.
         for mode in [SimMode::Wave, SimMode::Event] {
             let cfg = ChipConfig::new(2, LacConfig::default()).with_sim_mode(mode);
             let mut svc: LacService<MaybePanic> = LacService::new(cfg);
             let t = svc.add_tenant(TenantConfig::new("unlucky").with_admission_budget(15));
             let bad: JobGraph<MaybePanic> = [MaybePanic(true, job(0, 10))].into_iter().collect();
             svc.enqueue(t, bad).unwrap();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                svc.run_admitted(Scheduler::FairShare)
-            }))
-            .expect_err("the job's panic surfaces");
+            let err = svc.run_admitted(Scheduler::FairShare).unwrap_err();
+            assert!(
+                matches!(err.kind, HazardKind::JobPanicked { .. }),
+                "{mode:?}: {err:?}"
+            );
             assert_eq!(svc.tenant_session(t).inflight_cost, 0, "{mode:?}");
             assert_eq!(svc.tenant_session(t).graphs_completed, 0);
             let ok: JobGraph<MaybePanic> = [MaybePanic(false, job(0, 10))].into_iter().collect();
