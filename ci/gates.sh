@@ -49,17 +49,19 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
-# Gate 4: one coordinator entry. `SimMode` picks the wave loop or the
-# discrete-event core in exactly one place, `coordinate` in
-# crates/lac-sim/src/coord.rs; every door (chip, service, cluster) calls
-# it. A `SimMode::… =>` match arm anywhere else would be a second door
-# deciding the time core on its own, free to drift from the others.
-hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*=>' --include='*.rs' \
-  ./crates ./src ./tests ./examples ./perfbench 2>/dev/null \
+# Gate 4: one time core. `SimMode` picks the release rule — the barrier
+# (wave) step or the event step — in exactly one place, `run_pool` in
+# crates/lac-sim/src/event.rs; every door (chip, service, cluster) runs
+# its pool through it. A `SimMode::… =>` match arm, an `==`/`!=`
+# comparison with a `SimMode::…` variant or a `matches!(…, SimMode::…)`
+# anywhere else would be a second place deciding the time rule on its
+# own, free to drift from the first.
+hits=$(grep -rnE 'SimMode::[A-Za-z_]+[[:space:]]*(=>|[=!]=)|[=!]=[[:space:]]*SimMode::|matches!\([^;]*SimMode::' \
+  --include='*.rs' ./crates ./src ./tests ./examples ./perfbench 2>/dev/null \
   | grep -v '^\./perfbench/target/' \
-  | grep -v 'crates/lac-sim/src/coord\.rs' || true)
+  | grep -v 'crates/lac-sim/src/event\.rs' || true)
 if [ -n "$hits" ]; then
-  echo "SimMode matched outside the coordinator entry (coord.rs):"
+  echo "SimMode decided outside the time core (event.rs):"
   echo "$hits"
   fail=1
 fi

@@ -207,8 +207,8 @@ pub struct ChipConfig {
     pub ext_words_per_cycle_total: Option<usize>,
     /// Initial engine-owned bank size per shard, words.
     pub mem_words_per_core: Option<usize>,
-    /// Which coordinator drives graph runs: lock-step waves (the
-    /// default, the compatibility mode) or the discrete-event core (see
+    /// The time core's release rule for graph runs: lock-step waves (the
+    /// default, the compatibility mode) or discrete events (see
     /// [`crate::event`]). Outputs are bit-identical either way; clocks
     /// may differ.
     pub sim_mode: SimMode,
@@ -216,7 +216,7 @@ pub struct ChipConfig {
 
 impl ChipConfig {
     /// `cores` identical cores, no bandwidth cap, default bank size,
-    /// wave coordination.
+    /// lock-step waves.
     pub fn new(cores: usize, core: LacConfig) -> Self {
         Self {
             cores,
@@ -233,7 +233,7 @@ impl ChipConfig {
         self
     }
 
-    /// Select the coordinator ([`SimMode::Wave`] is the default).
+    /// Select the release rule ([`SimMode::Wave`] is the default).
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
@@ -300,8 +300,9 @@ pub struct ChipStats {
     pub per_core: Vec<ExecStats>,
     /// How many jobs each core ran.
     pub jobs_per_core: Vec<u64>,
-    /// Simulated makespan: the sum over dependency waves of each wave's
-    /// slowest bucket (for a flat queue: the slowest core's busy cycles).
+    /// Simulated makespan. Under [`SimMode::Wave`] it is the sum over
+    /// dependency waves of each wave's slowest bucket (for a flat queue:
+    /// the slowest core's busy cycles).
     pub makespan_cycles: u64,
     /// Sum of every core's counters (cycles summed too — that is aggregate
     /// busy time, not wall time; wall time is the makespan).
@@ -450,7 +451,7 @@ impl LacChip {
 
     /// Run a dependency graph of jobs to completion under `sched`.
     ///
-    /// The chip runs as a one-chip cluster through the shared coordinator
+    /// The chip runs as a one-chip cluster on the shared time core
     /// ([`ChipConfig::sim_mode`] picks wave or event mode; see the
     /// [`crate::service`] module docs): in wave mode each wave is planned
     /// up front from the jobs' cost hints, then every core executes its
@@ -458,11 +459,11 @@ impl LacChip {
     /// back in submission order regardless of placement, and
     /// [`GraphRun::events`] carries the run's trace.
     ///
-    /// On a simulation error the earliest *observed* error (by core
-    /// index, then bucket position; a job panic, reported as
-    /// [`crate::error::HazardKind::JobPanicked`], wins over a hazard) is
-    /// returned; the other workers stop at their next job boundary and
-    /// no later wave is dispatched. (If
+    /// On a simulation error the earliest-dispatched *observed* error (in
+    /// wave mode: by core index, then bucket position; a job panic,
+    /// reported as [`crate::error::HazardKind::JobPanicked`], wins over a
+    /// hazard) is returned; the other workers stop at their next job
+    /// boundary and nothing further is dispatched. (If
     /// several jobs of one wave would fail, which of them still ran
     /// before seeing the abort flag is host-timing dependent, so the
     /// reported error may vary — determinism covers successful runs, not

@@ -29,23 +29,23 @@
 //!   and exists to stress the transfer model. Partitioning is a pure
 //!   function of the graph's cost hints and edges — never of host timing
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
-//! * **[`LacCluster`]** — owns the chips and runs the partitioned pool
-//!   through the one coordinator entry every door shares
-//!   (`crate::coord::coordinate`). Its wave loop, `drive_cluster` in this
-//!   module, plans each chip's ready set per wave ([`plan_wave`]) and adds
-//!   transfer-aware readiness: a child whose parent completed on another
-//!   chip becomes ready only after the modeled transfer elapses on the
-//!   simulated clock. When every core would idle waiting on a link, the
-//!   clock jumps to the next transfer arrival and the gap is accounted as
-//!   [`ClusterStats::transfer_stall_cycles`]. [`SimMode::Event`] swaps in
-//!   the discrete-event core ([`crate::event`]) behind the same entry.
+//! * **[`LacCluster`]** — owns the chips, partitions each pool over the
+//!   alive ones, lends one pooled worker per core and runs the pool on
+//!   the one time core every door shares (`crate::event::run_pool`). The
+//!   time core adds transfer-aware readiness to the schedulers: a child
+//!   whose parent completed on another chip becomes ready only after the
+//!   modeled transfer elapses on the simulated clock, and when every core
+//!   would idle waiting on a link the clock jumps to the next arrival,
+//!   the gap accounted as [`ClusterStats::transfer_stall_cycles`].
+//!   [`ClusterConfig::sim_mode`] picks its release rule: lock-step waves
+//!   planned per chip ([`crate::service::plan_wave`]) or discrete events.
 //!
-//! This wave loop *is* the single-chip one: [`LacChip::run_graph`] and
-//! [`crate::service::LacService`] run their graphs as a one-chip cluster,
-//! where there are no cross-chip edges and every transfer charge
-//! vanishes — so an N=1 [`LacCluster`] is bit-identical to the chip and
-//! service doors, outputs, stats, rounds and tenant meters alike (a
-//! property-tested invariant, see `tests/cluster_props.rs`).
+//! The cluster's run path *is* the single-chip one: [`LacChip::run_graph`]
+//! and [`crate::service::LacService`] run their graphs as a one-chip
+//! cluster, where there are no cross-chip edges and every transfer
+//! charge vanishes — so an N=1 [`LacCluster`] is bit-identical to the
+//! chip and service doors, outputs, stats, rounds and tenant meters alike
+//! (a property-tested invariant, see `tests/cluster_props.rs`).
 //!
 //! The multi-tenant front door is [`crate::service::LacService`]'s own,
 //! because a service *is* a one-chip [`LacCluster`]. Tenants registered
@@ -63,17 +63,16 @@
 
 use crate::chip::{ChipConfig, ChipJob, ChipStats, LacChip, Scheduler};
 use crate::compile::ProgramCache;
-use crate::coord::{coordinate, scoped_workers, CoordRun};
-use crate::error::{HazardKind, SimError};
-use crate::event::SimMode;
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::coord::{scoped_workers, with_graph_pool, CoordRun, Placement, PoolView, TenantShare};
+use crate::error::SimError;
+use crate::event::{run_pool, SimMode};
+use crate::fault::FaultPlan;
 use crate::service::{
-    critical_paths, plan_wave, plan_wave_tenanted_slo, Done, FusedPool, GraphCompletion,
-    GraphTicket, JobGraph, JobId, JobOutcome, Rejected, Tenancy, TenantConfig, TenantDelta,
+    FusedPool, GraphCompletion, GraphTicket, JobGraph, JobId, Rejected, Tenancy, TenantConfig,
     TenantId, TenantSession,
 };
 use crate::stats::ExecStats;
-use crate::trace::{EventLog, TraceEvent};
+use crate::trace::EventLog;
 
 /// Static configuration of a cluster: N chips plus the inter-chip link
 /// model.
@@ -84,16 +83,17 @@ pub struct ClusterConfig {
     pub chips: Vec<ChipConfig>,
     /// Inter-chip link bandwidth in words per simulated cycle. Every
     /// cross-chip dependency edge serializes its payload through this
-    /// rate (links are modeled as contention-free: each transfer sees the
-    /// full bandwidth).
+    /// rate. Under [`SimMode::Wave`] links are contention-free (each
+    /// transfer sees the full bandwidth); under [`SimMode::Event`]
+    /// transfers over the same directed link queue behind each other.
     pub link_words_per_cycle: u64,
     /// Fixed latency of one chip-to-chip hop, in simulated cycles, paid
     /// by every cross-chip edge regardless of payload size.
     pub hop_latency_cycles: u64,
-    /// Which coordinator drives cluster runs: lock-step waves (the
-    /// default, the compatibility mode) or the discrete-event core (see
-    /// [`crate::event`]), which overlaps cut-edge transfers with compute
-    /// and models per-link contention. Outputs are bit-identical either
+    /// The time core's release rule for cluster runs: lock-step waves
+    /// (the default, the compatibility mode) or discrete events (see
+    /// [`crate::event`]), which overlap cut-edge transfers with compute
+    /// and model per-link contention. Outputs are bit-identical either
     /// way; clocks may differ.
     pub sim_mode: SimMode,
 }
@@ -101,7 +101,7 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// A cluster of `chips` identical chips with the default link model
     /// (4 words/cycle, 200-cycle hop — a PCIe-class link next to an
-    /// on-chip fabric). The coordinator mode is inherited from the chip
+    /// on-chip fabric). The release rule is inherited from the chip
     /// config.
     pub fn homogeneous(chips: usize, chip: ChipConfig) -> Self {
         assert!(chips >= 1, "a cluster has at least one chip");
@@ -121,7 +121,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the coordinator ([`SimMode::Wave`] is the default).
+    /// Select the release rule ([`SimMode::Wave`] is the default).
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
@@ -143,7 +143,7 @@ impl ClusterConfig {
         self.hop_latency_cycles + words.div_ceil(self.link_words_per_cycle.max(1))
     }
 
-    /// First global core index of each chip: the coordinators lay every
+    /// First global core index of each chip: the time core lays every
     /// chip's cores end to end in chip order.
     pub(crate) fn chip_base(&self) -> Vec<usize> {
         let mut base = Vec::with_capacity(self.chips.len());
@@ -316,7 +316,7 @@ pub struct ClusterStats {
     /// `makespan_cycles` is the *cluster* makespan — chips power through
     /// the whole run whether or not their cores are busy.
     pub per_chip: Vec<ChipStats>,
-    /// Simulated cluster makespan: wave spans plus transfer stalls.
+    /// Simulated cluster makespan, transfer stalls included.
     pub makespan_cycles: u64,
     /// Words moved across inter-chip links (sum over [`Transfer`]s).
     pub transferred_words: u64,
@@ -332,9 +332,9 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Package a run's flat per-global-core meters per chip — the one
-    /// per-chip split both coordinators share. Every chip reports the
-    /// cluster makespan: chips power through the whole run.
+    /// Package a run's flat per-global-core meters per chip — the time
+    /// core's one per-chip split. Every chip reports the cluster
+    /// makespan: chips power through the whole run.
     pub(crate) fn from_cores(
         cfg: &ClusterConfig,
         per_core: &[ExecStats],
@@ -422,18 +422,26 @@ pub struct ClusterRun<T> {
     pub partition: Partition,
     /// Which `(chip, core-within-chip)` ran each job.
     pub assignment: Vec<(usize, usize)>,
-    /// Which dependency wave (0-based) dispatched each job.
+    /// Each job's wave (0-based). Under [`SimMode::Wave`] that is the
+    /// dependency wave that dispatched it; under [`SimMode::Event`] it is
+    /// the rank of the job's completion tick among the run's distinct
+    /// completion ticks.
     pub wave_of: Vec<usize>,
-    /// Dependency waves the run took (transfer-stall gaps between waves
-    /// are not waves — no job dispatches during a stall).
+    /// Waves the run took: dependency waves under [`SimMode::Wave`]
+    /// (transfer-stall gaps between waves are not waves — no job
+    /// dispatches during a stall), distinct completion ticks under
+    /// [`SimMode::Event`].
     pub waves: usize,
     /// Shared simulated clock at the end of each wave, relative to the
-    /// start of the run (transfer-stall fast-forwards that precede a wave
-    /// are included in its end clock).
+    /// start of the run: `wave_end_cycles[wave_of[j]]` is job `j`'s
+    /// completion tick. Under [`SimMode::Wave`], transfer-stall
+    /// fast-forwards that precede a wave are included in its end clock.
     pub wave_end_cycles: Vec<u64>,
-    /// Per chip, per core: simulated cycles spent idle (wave imbalance,
-    /// dependency stalls, and transfer stalls). `busy + idle = makespan`
-    /// for every core.
+    /// Per chip, per core: simulated cycles spent idle. Under
+    /// [`SimMode::Wave`] that is wave imbalance, dependency stalls and
+    /// transfer stalls, so `busy + idle = makespan` for every core; under
+    /// [`SimMode::Event`] all-idle stalls are left out, so
+    /// `busy + idle + stats.transfer_stall_cycles = makespan`.
     pub idle_per_core: Vec<Vec<u64>>,
     /// Every cross-chip payload movement, in completion order. One entry
     /// per cut edge, exactly, on the fault-free path; a fault's requeue
@@ -461,7 +469,9 @@ pub struct ClusterRound<T> {
     /// indexed by fused job id, i.e. graphs laid end to end in admission
     /// order).
     pub partition: Partition,
-    /// Dependency waves the interleaved round took.
+    /// Waves the interleaved round took: dependency waves under
+    /// [`SimMode::Wave`], distinct completion ticks under
+    /// [`SimMode::Event`] (see [`ClusterRun::waves`]).
     pub waves: usize,
     /// Shared simulated clock at the end of each wave, relative to the
     /// start of the round: a graph completes at
@@ -501,541 +511,6 @@ impl ClusterSession {
         self.transferred_words += stats.transferred_words;
         self.transfer_cycles += stats.transfer_cycles;
     }
-}
-
-/// Collect exactly `dispatched` job reports for one wave, folding
-/// completions into the per-core and per-tenant meters and `outputs`, and
-/// returning the completed job indices. Among observed failures, the job
-/// earliest by dispatch slot (core index, bucket position) wins, whatever
-/// order the host delivered the reports in; panics win over simulation
-/// errors (they are job bugs, not schedule rejections) and come back as
-/// [`HazardKind::JobPanicked`] at the wave's session-clock start tick
-/// `clock`. Once this returns, nothing is in flight, so the backend
-/// stays usable.
-///
-/// `job_cycles[j]` receives job `j`'s own busy cycles on completion —
-/// the per-job span the wave loop's event log reconstructs
-/// start/end ticks from (a core runs its bucket in position order, so a
-/// job's start is the wave's start plus its bucket predecessors' spans).
-#[allow(clippy::too_many_arguments)] // the wave's full accounting context
-fn collect_wave<T>(
-    dispatched: usize,
-    clock: u64,
-    mut collect: impl FnMut() -> Done<T>,
-    dispatch_slot: &[(usize, usize)],
-    tenant_of: &[usize],
-    wave_cycles: &mut [u64],
-    per_core: &mut [ExecStats],
-    jobs_per_core: &mut [u64],
-    per_tenant: &mut [TenantDelta],
-    outputs: &mut [Option<T>],
-    job_cycles: &mut [u64],
-) -> Result<Vec<usize>, SimError> {
-    let mut completed: Vec<usize> = Vec::with_capacity(dispatched);
-    let mut first_err: Option<((usize, usize), SimError)> = None;
-    let mut first_panic: Option<((usize, usize), String)> = None;
-    for _ in 0..dispatched {
-        let done = collect();
-        let slot = dispatch_slot[done.job];
-        match done.outcome {
-            JobOutcome::Completed(out, delta) => {
-                job_cycles[done.job] = delta.cycles;
-                wave_cycles[done.core] += delta.cycles;
-                per_core[done.core].merge(&delta);
-                jobs_per_core[done.core] += 1;
-                let t = tenant_of[done.job];
-                per_tenant[t].busy.merge(&delta);
-                per_tenant[t].jobs += 1;
-                outputs[done.job] = Some(out);
-                completed.push(done.job);
-            }
-            // Skipped at the job boundary after a peer's failure: no
-            // simulated work happened.
-            JobOutcome::Skipped => {}
-            JobOutcome::Failed(e) => {
-                if first_err.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_err = Some((slot, e));
-                }
-            }
-            JobOutcome::Panicked(msg) => {
-                if first_panic.as_ref().is_none_or(|(s, _)| slot < *s) {
-                    first_panic = Some((slot, msg));
-                }
-            }
-        }
-    }
-    if let Some(((core, _), message)) = first_panic {
-        return Err(SimError::job_panicked(clock, core, message));
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok(completed)
-}
-
-/// Apply every scheduled fault whose tick is due by `base + clock` (see
-/// [`FaultPlan`] for the fault model): mark the chip dead, revoke the
-/// jobs it completed in the wave that just retired (`wave_completed`),
-/// and requeue every uncompleted job it owned onto the surviving chips —
-/// least remaining load first (ties to the lower chip index), jobs in id
-/// order. A requeued job whose parent completed *in an earlier wave* on
-/// a different chip pays one fresh modeled transfer to move the parent's
-/// durable output to its new home; parents completing in the current
-/// wave charge their edge through the normal release path afterwards,
-/// against the updated placement, so no edge is ever double-charged.
-///
-/// Called at wave boundaries only (after a wave's collection, at the top
-/// of the loop after a fast-forward, and before the first wave), which
-/// is what keeps fault handling bit-deterministic. Errors with
-/// [`HazardKind::AllChipsDead`] when a kill leaves no survivor.
-#[allow(clippy::too_many_arguments)] // the fault's full requeue context
-fn apply_due_faults<T>(
-    cfg: &ClusterConfig,
-    faults: &[FaultEvent],
-    applied: &mut [bool],
-    dead: &mut [bool],
-    base: u64,
-    clock: u64,
-    chip_of: &mut [usize],
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    completed_mask: &[bool],
-    assignment: &[(usize, usize)],
-    in_wave: &mut [bool],
-    outputs: &mut [Option<T>],
-    wave_completed: &mut Vec<usize>,
-    ready_at: &mut [u64],
-    transfers: &mut Vec<Transfer>,
-    transferred_words: &mut u64,
-    transfer_cycles: &mut u64,
-    wave_events_start: usize,
-    events: &mut EventLog,
-) -> Result<(), SimError> {
-    let n = costs.len();
-    let chips = dead.len();
-    for (i, f) in faults.iter().enumerate() {
-        if f.tick > base + clock {
-            break; // sorted by tick: nothing further is due
-        }
-        if applied[i] {
-            continue;
-        }
-        applied[i] = true;
-        if dead[f.chip] {
-            continue; // killing a dead chip is a no-op
-        }
-        dead[f.chip] = true;
-        events.push(TraceEvent::Fault {
-            chip: f.chip,
-            tick: clock,
-        });
-        if dead.iter().all(|&d| d) {
-            return Err(SimError {
-                cycle: (base + clock) as usize,
-                pe: None,
-                kind: HazardKind::AllChipsDead { chips },
-            });
-        }
-        // Revoke the dying chip's in-flight wave: the work ran (and
-        // stays metered — the energy was burned) but its outputs are
-        // discarded and its children are not released.
-        wave_completed.retain(|&j| {
-            if assignment[j].0 != f.chip {
-                return true;
-            }
-            outputs[j] = None;
-            // The planner leaves dispatched jobs in `pending` until the
-            // end-of-wave sweep removes the `in_wave` ones — clearing the
-            // flag keeps the revoked job queued without duplicating it.
-            in_wave[j] = false;
-            for ev in events.events_mut()[wave_events_start..].iter_mut() {
-                if let TraceEvent::Job { job, discarded, .. } = ev {
-                    if *job == j {
-                        *discarded = true;
-                    }
-                }
-            }
-            false
-        });
-        // Requeue every uncompleted job off the dead chip, balancing by
-        // remaining cost over the survivors.
-        let mut load = vec![0u64; chips];
-        for j in 0..n {
-            if outputs[j].is_none() && !dead[chip_of[j]] {
-                load[chip_of[j]] += costs[j].max(1);
-            }
-        }
-        for j in 0..n {
-            if chip_of[j] != f.chip || outputs[j].is_some() {
-                continue;
-            }
-            let target = (0..chips)
-                .filter(|&c| !dead[c])
-                .min_by_key(|&c| (load[c], c))
-                .expect("a survivor exists");
-            load[target] += costs[j].max(1);
-            chip_of[j] = target;
-            events.push(TraceEvent::Requeue {
-                job: j,
-                from_chip: f.chip,
-                to_chip: target,
-                tick: clock,
-            });
-            // Completed parents' outputs are durable (the coordinator's
-            // results store); moving one to the job's new home costs one
-            // fresh hop when they sit on different chips.
-            for &p in &parents[j] {
-                if completed_mask[p] && chip_of[p] != target {
-                    let words = transfer_words[p].max(1);
-                    let cycles = cfg.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(p),
-                        child: JobId::from_index(j),
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        cycles,
-                    });
-                    *transferred_words += words;
-                    *transfer_cycles += cycles;
-                    ready_at[j] = ready_at[j].max(clock + cycles);
-                    events.push(TraceEvent::Transfer {
-                        parent: p,
-                        child: j,
-                        from_chip: chip_of[p],
-                        to_chip: target,
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The deterministic cluster coordinator: per wave, plan each chip's
-/// ready jobs with the chip's own core count, dispatch, collect, advance
-/// the shared simulated clock by the slowest bucket anywhere, then
-/// release children — delaying any child whose parent ran on another chip
-/// by the modeled transfer. A wave with no ready jobs but pending
-/// transfers fast-forwards the clock to the next arrival (a transfer
-/// stall). Everything is planned from cost hints, the partition and the
-/// transfer model, so runs are bit-identical across reruns and host
-/// interleavings; with one chip and no cut edges this is exactly the
-/// single-chip wave loop.
-///
-/// Fault injection: `faults` (kills on the session clock, `base` =
-/// session clock at run start) is honored at wave boundaries through
-/// [`apply_due_faults`] — `chip_of` and `dead` are updated in place as
-/// chips die and their jobs requeue. The run's [`EventLog`] records job
-/// spans, transfers, faults, requeues and idle fast-forwards, all on the
-/// run-relative simulated clock.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-pub(crate) fn drive_cluster<T>(
-    cfg: &ClusterConfig,
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    chip_of: &mut [usize],
-    dead: &mut [bool],
-    faults: &[FaultEvent],
-    base: u64,
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<CoordRun<T>, SimError> {
-    let n = costs.len();
-    let chips = cfg.chips.len();
-    // Global core index = chip_base[chip] + core-within-chip.
-    let chip_base = cfg.chip_base();
-    let total_cores = cfg.total_cores();
-
-    let priority = critical_paths(costs, children);
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
-    // Jobs whose parents all completed, waiting for `ready_at` (transfer
-    // arrival) and a planner slot. Kept sorted by job id.
-    let mut pending: Vec<usize> = (0..n).filter(|&j| indegree[j] == 0).collect();
-    let mut ready_at = vec![0u64; n];
-
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![(0usize, 0usize); n];
-    let mut wave_of = vec![0usize; n];
-    let mut dispatch_slot = vec![(0usize, 0usize); n]; // (global core, bucket position)
-    let mut per_core = vec![ExecStats::default(); total_cores];
-    let mut jobs_per_core = vec![0u64; total_cores];
-    let mut idle_per_core = vec![0u64; total_cores];
-    let mut per_tenant = vec![TenantDelta::default(); weights.len()];
-    let mut job_cycles = vec![0u64; n];
-    let mut in_wave = vec![false; n];
-    let mut completed_mask = vec![false; n];
-    let mut applied = vec![false; faults.len()];
-    let mut transfers: Vec<Transfer> = Vec::new();
-    let mut transferred_words = 0u64;
-    let mut transfer_cycles = 0u64;
-    let mut transfer_stall_cycles = 0u64;
-    let mut clock = 0u64;
-    let mut wave_ends: Vec<u64> = Vec::new();
-    let mut events = EventLog::new();
-
-    while !pending.is_empty() {
-        // Faults due before any wave runs (at run start, or during a
-        // fast-forward gap) fire here; nothing is in flight, so there is
-        // nothing to revoke.
-        let mut no_wave: Vec<usize> = Vec::new();
-        apply_due_faults(
-            cfg,
-            faults,
-            &mut applied,
-            dead,
-            base,
-            clock,
-            chip_of,
-            costs,
-            transfer_words,
-            parents,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut no_wave,
-            &mut ready_at,
-            &mut transfers,
-            &mut transferred_words,
-            &mut transfer_cycles,
-            events.len(),
-            &mut events,
-        )?;
-
-        let ready: Vec<usize> = pending
-            .iter()
-            .copied()
-            .filter(|&j| ready_at[j] <= clock)
-            .collect();
-        if ready.is_empty() {
-            // Every pending job is waiting on an in-flight transfer:
-            // fast-forward to the earliest arrival — clamped to the next
-            // scheduled fault, so a kill falling inside the gap still
-            // fires at its own tick. The whole cluster idles through.
-            let next_ready = pending.iter().map(|&j| ready_at[j]).min().unwrap();
-            let next_fault = faults
-                .iter()
-                .zip(applied.iter())
-                .filter(|(f, &a)| !a && !dead[f.chip] && f.tick > base + clock)
-                .map(|(f, _)| f.tick - base)
-                .min();
-            let next = next_fault.map_or(next_ready, |ft| next_ready.min(ft));
-            let gap = next - clock;
-            for idle in idle_per_core.iter_mut() {
-                *idle += gap;
-            }
-            transfer_stall_cycles += gap;
-            events.push(TraceEvent::IdleFastForward {
-                start: clock,
-                end: next,
-            });
-            clock = next;
-            continue;
-        }
-
-        // Plan chip by chip in chip order; FairShare usage is charged as
-        // each chip's buckets are fixed, so later chips see earlier
-        // chips' picks — one global deficit account, deterministically.
-        in_wave.iter_mut().for_each(|w| *w = false);
-        let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
-        let mut dispatched = 0usize;
-        for chip in 0..chips {
-            if dead[chip] {
-                continue; // requeue keeps dead chips out of chip_of too
-            }
-            let chip_ready: Vec<usize> = ready
-                .iter()
-                .copied()
-                .filter(|&j| chip_of[j] == chip)
-                .collect();
-            if chip_ready.is_empty() {
-                continue;
-            }
-            let buckets = match sched {
-                Scheduler::FairShare => plan_wave_tenanted_slo(
-                    &chip_ready,
-                    costs,
-                    &priority,
-                    tenant_of,
-                    usage,
-                    weights,
-                    boost,
-                    cfg.chips[chip].cores,
-                ),
-                _ => plan_wave(sched, &chip_ready, costs, &priority, cfg.chips[chip].cores),
-            };
-            for (core, bucket) in buckets.iter().enumerate() {
-                let g = chip_base[chip] + core;
-                for (pos, &j) in bucket.iter().enumerate() {
-                    assignment[j] = (chip, core);
-                    wave_of[j] = wave_ends.len();
-                    in_wave[j] = true;
-                    dispatch_slot[j] = (g, pos);
-                    by_core[g].push(j);
-                    let t = tenant_of[j];
-                    per_tenant[t].wait_cycles += clock - ready_at[j];
-                    per_tenant[t].cost_dispatched += costs[j].max(1);
-                    usage[t] += costs[j].max(1);
-                    dispatch(g, j);
-                    dispatched += 1;
-                }
-            }
-        }
-        let wave_start = clock;
-
-        let mut wave_cycles = vec![0u64; total_cores];
-        let mut completed = collect_wave(
-            dispatched,
-            base + clock,
-            &mut collect,
-            &dispatch_slot,
-            tenant_of,
-            &mut wave_cycles,
-            &mut per_core,
-            &mut jobs_per_core,
-            &mut per_tenant,
-            &mut outputs,
-            &mut job_cycles,
-        )?;
-
-        let span = wave_cycles.iter().copied().max().unwrap_or(0);
-        for c in 0..total_cores {
-            idle_per_core[c] += span - wave_cycles[c];
-        }
-        clock += span;
-        wave_ends.push(clock);
-
-        // Log the wave's job spans: a core runs its bucket in position
-        // order, so starts are prefix sums of the per-job busy cycles.
-        let wave_events_start = events.len();
-        for bucket in &by_core {
-            let mut t = wave_start;
-            for &j in bucket {
-                let (chip, core) = assignment[j];
-                events.push(TraceEvent::Job {
-                    job: j,
-                    tenant: tenant_of[j],
-                    chip,
-                    core,
-                    start: t,
-                    end: t + job_cycles[j],
-                    discarded: false,
-                });
-                t += job_cycles[j];
-            }
-        }
-
-        // A kill whose tick fell inside this wave fires now, at the
-        // boundary: it discards the dying chip's slice of the wave and
-        // requeues its jobs before any child is released.
-        apply_due_faults(
-            cfg,
-            faults,
-            &mut applied,
-            dead,
-            base,
-            clock,
-            chip_of,
-            costs,
-            transfer_words,
-            parents,
-            &completed_mask,
-            &assignment,
-            &mut in_wave,
-            &mut outputs,
-            &mut completed,
-            &mut ready_at,
-            &mut transfers,
-            &mut transferred_words,
-            &mut transfer_cycles,
-            wave_events_start,
-            &mut events,
-        )?;
-
-        // Release children; a cross-chip edge delays the child by the
-        // modeled transfer and records the charge (exactly once per cut
-        // edge on the fault-free path — a parent completes exactly once;
-        // requeues may re-charge an edge to the child's new home).
-        completed.sort_unstable();
-        for &j in &completed {
-            completed_mask[j] = true;
-            for &child in &children[j] {
-                let arrival = if chip_of[child] != chip_of[j] {
-                    let words = transfer_words[j].max(1);
-                    let cycles = cfg.transfer_cycles(words);
-                    transfers.push(Transfer {
-                        parent: JobId::from_index(j),
-                        child: JobId::from_index(child),
-                        from_chip: chip_of[j],
-                        to_chip: chip_of[child],
-                        words,
-                        cycles,
-                    });
-                    transferred_words += words;
-                    transfer_cycles += cycles;
-                    events.push(TraceEvent::Transfer {
-                        parent: j,
-                        child,
-                        from_chip: chip_of[j],
-                        to_chip: chip_of[child],
-                        words,
-                        start: clock,
-                        end: clock + cycles,
-                    });
-                    clock + cycles
-                } else {
-                    clock
-                };
-                ready_at[child] = ready_at[child].max(arrival);
-                indegree[child] -= 1;
-                if indegree[child] == 0 {
-                    pending.push(child);
-                }
-            }
-        }
-        // Undispatched ready jobs (the quantum-capped policy's backlog)
-        // stay pending; newly released children and fault-revoked jobs
-        // joined them above (revocation clears `in_wave`).
-        pending.retain(|&j| !in_wave[j]);
-        pending.sort_unstable();
-    }
-
-    let outputs: Vec<T> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect();
-    Ok(CoordRun {
-        outputs,
-        assignment,
-        wave_of,
-        wave_ends,
-        idle_per_core,
-        transfers,
-        stats: ClusterStats::from_cores(
-            cfg,
-            &per_core,
-            &jobs_per_core,
-            clock,
-            transferred_words,
-            transfer_cycles,
-            transfer_stall_cycles,
-        ),
-        per_tenant,
-        events,
-    })
 }
 
 /// A multi-chip deployment: N [`LacChip`]s behind one deterministic
@@ -1094,8 +569,8 @@ struct Fleet {
 impl Fleet {
     /// Partition over the *alive* chips only, then remap onto real chip
     /// indices — a dead chip never receives new work. Errors with
-    /// [`HazardKind::AllChipsDead`] (at session tick `clock`) when jobs
-    /// need placing and no chip survives.
+    /// [`crate::error::HazardKind::AllChipsDead`] (at session tick
+    /// `clock`) when jobs need placing and no chip survives.
     fn partition_alive(
         &self,
         clock: u64,
@@ -1105,11 +580,7 @@ impl Fleet {
         let chips = self.chips.len();
         let alive: Vec<usize> = (0..chips).filter(|&c| !self.dead[c]).collect();
         if alive.is_empty() && !costs.is_empty() {
-            return Err(SimError {
-                cycle: clock as usize,
-                pe: None,
-                kind: HazardKind::AllChipsDead { chips },
-            });
+            return Err(SimError::all_chips_dead(clock, chips));
         }
         let part = partition_costs(self.partitioner, costs, parents, alive.len().max(1));
         if alive.len() == chips {
@@ -1127,28 +598,21 @@ impl Fleet {
     }
 
     /// Partition a job pool over the alive chips, lend one pooled worker
-    /// per core per chip, and [`coordinate`] the pool. `base` is the
+    /// per core per chip, and run the pool on the time core. `base` is the
     /// session clock at run start; `job_of` resolves a pool index to the
     /// job to run (identity for [`LacCluster::run_graph`], the owner map
     /// for rounds). Chips killed during the run stay marked dead for
     /// every later run.
-    #[allow(clippy::too_many_arguments)] // mirrors the coordinator it feeds
     fn run<'j, J: ChipJob + 'j>(
         &mut self,
         base: u64,
         job_of: impl Fn(usize) -> &'j J + Sync,
-        costs: &[u64],
-        transfer_words: &[u64],
-        parents: &[Vec<usize>],
-        children: &[Vec<usize>],
-        tenant_of: &[usize],
-        weights: &[u64],
-        usage: &mut [u64],
-        boost: &[u64],
+        pool: PoolView<'_>,
+        share: TenantShare<'_>,
         sched: Scheduler,
     ) -> Result<(Partition, CoordRun<J::Output>), SimError> {
-        let hints: Vec<u64> = costs.iter().map(|&c| c.max(1)).collect();
-        let partition = self.partition_alive(base, &hints, parents)?;
+        let hints: Vec<u64> = pool.costs.iter().map(|&c| c.max(1)).collect();
+        let partition = self.partition_alive(base, &hints, pool.parents)?;
         let mut chip_of = partition.chip_of.clone();
         let Fleet {
             cfg,
@@ -1157,26 +621,15 @@ impl Fleet {
             dead,
             ..
         } = self;
+        let place = Placement {
+            chip_of: &mut chip_of,
+            dead,
+            faults: fault_plan.kills(),
+            base,
+        };
         let engines = chips.iter_mut().flat_map(|c| c.shards_mut().iter_mut());
         let run = scoped_workers(engines, job_of, |dispatch, collect| {
-            coordinate(
-                cfg,
-                costs,
-                transfer_words,
-                parents,
-                children,
-                &mut chip_of,
-                dead,
-                fault_plan.kills(),
-                base,
-                tenant_of,
-                weights,
-                usage,
-                boost,
-                sched,
-                dispatch,
-                collect,
-            )
+            run_pool(cfg, pool, share, sched, place, dispatch, collect)
         })?;
         Ok((partition, run))
     }
@@ -1230,10 +683,11 @@ impl<J: ChipJob> LacCluster<J> {
     }
 
     /// Merge `plan`'s scheduled kills into the cluster's fault plan.
-    /// Ticks are on the session clock ([`ClusterSession::clock_cycles`]);
-    /// each kill fires at the first wave boundary at or after its tick
-    /// and persists — a dead chip stays dead across rounds. See
-    /// [`FaultPlan`] for the full fault model.
+    /// Ticks are on the session clock ([`ClusterSession::clock_cycles`]).
+    /// Under [`SimMode::Wave`] each kill fires at the first wave boundary
+    /// at or after its tick; under [`SimMode::Event`] it fires at its
+    /// exact tick. Either way it persists — a dead chip stays dead across
+    /// rounds. See [`FaultPlan`] for the full fault model.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         for k in plan.kills() {
             assert!(
@@ -1289,19 +743,20 @@ impl<J: ChipJob> LacCluster<J> {
     /// Run a dependency graph sharded across the cluster's chips under
     /// `sched`.
     ///
-    /// The graph is partitioned first (see [`Partitioner`]), then
-    /// executed by the coordinator [`ClusterConfig::sim_mode`] selects —
-    /// in wave mode each chip plans its own ready bucket per wave from
-    /// cost hints, cross-chip edges delay children by the modeled
-    /// transfer, and the shared simulated clock advances by the slowest
-    /// bucket anywhere. Outputs come back in submission order regardless
-    /// of placement, bit-identical across reruns, policies and host
-    /// interleavings (the same guarantee as [`LacChip::run_graph`], which
-    /// an N=1 cluster reproduces exactly).
+    /// The graph is partitioned first (see [`Partitioner`]), then run on
+    /// the time core under the release rule [`ClusterConfig::sim_mode`]
+    /// selects — in wave mode each chip plans its own ready bucket per
+    /// wave from cost hints, cross-chip edges delay children by the
+    /// modeled transfer, and the shared simulated clock advances by the
+    /// slowest bucket anywhere. Outputs come back in submission order
+    /// regardless of placement, bit-identical across reruns, policies and
+    /// host interleavings (the same guarantee as [`LacChip::run_graph`],
+    /// which an N=1 cluster reproduces exactly).
     ///
-    /// Error semantics match [`LacChip::run_graph`]: the earliest
-    /// observed failure (by global core index, then bucket position) is
-    /// returned, peers stop at their next job boundary, and work that
+    /// Error semantics match [`LacChip::run_graph`]: the observed failure
+    /// dispatched earliest is returned (a job panic wins over a hazard;
+    /// in wave mode dispatch order is global core index, then bucket
+    /// position), peers stop at their next job boundary, and work that
     /// already simulated stays metered in the shard sessions.
     pub fn run_graph(
         &mut self,
@@ -1332,21 +787,10 @@ impl<J: ChipJob> LacCluster<J> {
         graph: &JobGraph<J>,
         sched: Scheduler,
     ) -> Result<(Partition, CoordRun<J::Output>), SimError> {
-        let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
-        let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
-        let (partition, run) = self.fleet.run(
-            self.session.clock_cycles,
-            |job| &graph.jobs[job],
-            &costs,
-            &transfer_words,
-            &graph.parents,
-            &graph.children,
-            &vec![0; costs.len()],
-            &[1],
-            &mut [0],
-            &[u64::MAX],
-            sched,
-        )?;
+        let (fleet, base) = (&mut self.fleet, self.session.clock_cycles);
+        let (partition, run) = with_graph_pool(graph, |pool, share| {
+            fleet.run(base, |job| &graph.jobs[job], pool, share, sched)
+        })?;
         self.session.record(&run.stats, 1);
         Ok((partition, run))
     }
@@ -1404,8 +848,8 @@ impl<J: ChipJob> LacCluster<J> {
     /// [`crate::service::LacService::run_admitted`] — both doors run the
     /// same tenancy round. On success the round folds into the cluster
     /// session and each tenant's [`TenantSession`]; on error (a job
-    /// panic is [`HazardKind::JobPanicked`]) the round's graphs are
-    /// dropped and their in-flight cost drains.
+    /// panic is [`crate::error::HazardKind::JobPanicked`]) the round's
+    /// graphs are dropped and their in-flight cost drains.
     pub fn run_admitted(&mut self, sched: Scheduler) -> Result<ClusterRound<J::Output>, SimError> {
         let boost = vec![u64::MAX; self.num_tenants()];
         self.run_admitted_boosted(sched, &boost)
@@ -1449,22 +893,23 @@ impl<J: ChipJob> LacCluster<J> {
     ) -> Result<RoundRun<J>, SimError> {
         let (fleet, base) = (&mut self.fleet, self.session.clock_cycles);
         let (pool, partition, run) = self.tenancy.run_round(boost, |pool, weights, usage| {
-            fleet.run(
-                base,
-                |job| {
-                    let (g, local) = pool.owner[job];
-                    &pool.graphs[g].jobs[local]
-                },
-                &pool.costs,
-                &pool.transfer_words,
-                &pool.parents,
-                &pool.children,
-                &pool.tenant_of,
+            let view = PoolView {
+                costs: &pool.costs,
+                transfer_words: &pool.transfer_words,
+                parents: &pool.parents,
+                children: &pool.children,
+                tenant_of: &pool.tenant_of,
+            };
+            let share = TenantShare {
                 weights,
                 usage,
                 boost,
-                sched,
-            )
+            };
+            let job_of = |job: usize| {
+                let (g, local) = pool.owner[job];
+                &pool.graphs[g].jobs[local]
+            };
+            fleet.run(base, job_of, view, share, sched)
         })?;
         self.session.record(&run.stats, pool.graphs.len() as u64);
         Ok((pool, partition, run))
@@ -1482,6 +927,7 @@ mod tests {
     use crate::chip::ProgramJob;
     use crate::config::LacConfig;
     use crate::isa::{ExtOp, ProgramBuilder, Source};
+    use crate::trace::TraceEvent;
 
     /// One external load + one MAC + `extra` idle cycles, with a chosen
     /// scheduler cost.

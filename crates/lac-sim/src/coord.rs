@@ -1,10 +1,10 @@
-//! The one coordinator entry. Every door — [`crate::chip::LacChip`],
+//! What goes into and comes out of the one time core, and the one worker
+//! pool it runs jobs on. Every door — [`crate::chip::LacChip`],
 //! [`crate::service::LacService`] and [`crate::cluster::LacCluster`] —
 //! describes its hardware as a [`ClusterConfig`] (a chip is a one-chip
-//! cluster) and runs its jobs through [`coordinate`], the only place a
-//! [`SimMode`] is matched. The wave loop (`crate::cluster::drive_cluster`)
-//! and the discrete-event core (`crate::event::drive_event`) therefore
-//! each exist once, and both hand back one [`CoordRun`] shape.
+//! cluster) and hands `crate::event::run_pool` one [`PoolView`], a
+//! [`TenantShare`] and a [`Placement`]; under either release rule it gets
+//! back one [`CoordRun`] shape.
 //!
 //! The module also holds the one worker pool ([`scoped_workers`]): one
 //! worker thread per engine for one run, checked out of a process-wide
@@ -19,10 +19,10 @@
 //! its jobs and dropped everything the run lent it.
 
 use crate::chip::{ChipConfig, ChipJob, Scheduler};
-use crate::cluster::{drive_cluster, ClusterConfig, ClusterStats, Transfer};
+use crate::cluster::{ClusterConfig, ClusterStats, Transfer};
 use crate::engine::LacEngine;
 use crate::error::SimError;
-use crate::event::{drive_event, SimMode};
+use crate::event::run_pool;
 use crate::fault::FaultEvent;
 use crate::service::{Done, GraphRun, JobGraph, JobOutcome, TenantDelta};
 use crate::trace::EventLog;
@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, PoisonError};
 
-/// Everything one coordinated run produces, whichever coordinator ran it.
+/// Everything one coordinated run produces, under either release rule.
 /// Per-core vectors are flat (chips laid end to end in chip order); the
-/// per-chip view is `stats.per_chip`, split once by the coordinator.
+/// per-chip view is `stats.per_chip`, split once by the time core.
 #[derive(Debug)]
 pub(crate) struct CoordRun<T> {
     /// One output per job, pool order.
@@ -85,75 +85,68 @@ impl<T> CoordRun<T> {
     }
 }
 
-/// Run a job pool to completion under the coordinator `cfg.sim_mode`
-/// selects. `chip_of` places each job (updated in place when a fault
-/// requeues work), `dead` marks killed chips, and `faults` are kills on
-/// the session clock, `base` being the session clock at run start.
-/// `tenant_of` maps jobs to tenants; `usage` is the fair-share deficit
-/// account, charged in place as jobs dispatch. `dispatch(core, job)`
-/// hands a job to a global core's worker and `collect` returns one
-/// report per dispatched job.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-pub(crate) fn coordinate<T>(
-    cfg: &ClusterConfig,
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    chip_of: &mut [usize],
-    dead: &mut [bool],
-    faults: &[FaultEvent],
-    base: u64,
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    dispatch: impl FnMut(usize, usize),
-    collect: impl FnMut() -> Done<T>,
-) -> Result<CoordRun<T>, SimError> {
-    match cfg.sim_mode {
-        SimMode::Wave => drive_cluster(
-            cfg,
-            costs,
-            transfer_words,
-            parents,
-            children,
-            chip_of,
-            dead,
-            faults,
-            base,
-            tenant_of,
-            weights,
-            usage,
-            boost,
-            sched,
-            dispatch,
-            collect,
-        ),
-        SimMode::Event => drive_event(
-            cfg,
-            costs,
-            transfer_words,
-            parents,
-            children,
-            chip_of,
-            dead,
-            faults,
-            base,
-            tenant_of,
-            weights,
-            usage,
-            boost,
-            sched,
-            dispatch,
-            collect,
-        ),
-    }
+/// A job pool as the time core reads it: per-job cost hints, transfer
+/// sizes, edges and tenant tags, all indexed by pool position. Borrowed
+/// once from the door's pool and handed down whole.
+#[derive(Clone, Copy)]
+pub(crate) struct PoolView<'a> {
+    /// Scheduler cost hint of each job.
+    pub(crate) costs: &'a [u64],
+    /// Words a job's output moves over a cut edge.
+    pub(crate) transfer_words: &'a [u64],
+    /// Each job's parents (always earlier pool positions).
+    pub(crate) parents: &'a [Vec<usize>],
+    /// Each job's children.
+    pub(crate) children: &'a [Vec<usize>],
+    /// Each job's tenant (0 for the single-tenant doors).
+    pub(crate) tenant_of: &'a [usize],
 }
 
-/// [`coordinate`] one graph on one fault-free chip as a single anonymous
-/// tenant — what [`crate::chip::LacChip::run_graph`] drives.
+/// The fair-share account of one run, indexed by tenant: weights, the
+/// live usage deficits (charged in place as jobs dispatch) and SLO boost
+/// slacks (`u64::MAX` = unboosted).
+pub(crate) struct TenantShare<'a> {
+    pub(crate) weights: &'a [u64],
+    pub(crate) usage: &'a mut [u64],
+    pub(crate) boost: &'a [u64],
+}
+
+/// Where a pool runs: each job's chip (updated in place when a kill
+/// requeues work), which chips are dead, and the scheduled kills on the
+/// session clock, `base` being the session clock at run start.
+pub(crate) struct Placement<'a> {
+    pub(crate) chip_of: &'a mut [usize],
+    pub(crate) dead: &'a mut [bool],
+    pub(crate) faults: &'a [FaultEvent],
+    pub(crate) base: u64,
+}
+
+/// Hand one graph to `run` as the pool of a single anonymous tenant —
+/// what the graph doors ([`crate::chip::LacChip::run_graph`],
+/// [`crate::cluster::LacCluster::run_graph`]) run.
+pub(crate) fn with_graph_pool<J: ChipJob, R>(
+    graph: &JobGraph<J>,
+    run: impl FnOnce(PoolView<'_>, TenantShare<'_>) -> R,
+) -> R {
+    let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
+    let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
+    let pool = PoolView {
+        costs: &costs,
+        transfer_words: &transfer_words,
+        parents: &graph.parents,
+        children: &graph.children,
+        tenant_of: &vec![0; graph.len()],
+    };
+    let share = TenantShare {
+        weights: &[1],
+        usage: &mut [0],
+        boost: &[u64::MAX],
+    };
+    run(pool, share)
+}
+
+/// Run one graph on one fault-free chip on the time core — what
+/// [`crate::chip::LacChip::run_graph`] drives.
 pub(crate) fn coordinate_graph<J: ChipJob>(
     chip: &ChipConfig,
     graph: &JobGraph<J>,
@@ -161,27 +154,16 @@ pub(crate) fn coordinate_graph<J: ChipJob>(
     dispatch: impl FnMut(usize, usize),
     collect: impl FnMut() -> Done<J::Output>,
 ) -> Result<GraphRun<J::Output>, SimError> {
-    let n = graph.len();
-    let costs: Vec<u64> = graph.jobs.iter().map(|j| j.cost_hint()).collect();
-    let transfer_words: Vec<u64> = graph.jobs.iter().map(|j| j.transfer_words()).collect();
-    coordinate(
-        &ClusterConfig::homogeneous(1, *chip),
-        &costs,
-        &transfer_words,
-        &graph.parents,
-        &graph.children,
-        &mut vec![0; n],
-        &mut [false],
-        &[],
-        0,
-        &vec![0; n],
-        &[1],
-        &mut [0],
-        &[u64::MAX],
-        sched,
-        dispatch,
-        collect,
-    )
+    let cfg = ClusterConfig::homogeneous(1, *chip);
+    let place = Placement {
+        chip_of: &mut vec![0; graph.len()],
+        dead: &mut [false],
+        faults: &[],
+        base: 0,
+    };
+    with_graph_pool(graph, |pool, share| {
+        run_pool(&cfg, pool, share, sched, place, dispatch, collect)
+    })
     .map(CoordRun::into_graph_run)
 }
 
@@ -297,7 +279,7 @@ impl Drop for Checkout<'_> {
 /// [`crate::service::LacService`] through the cluster's run path.
 /// `job_of` resolves a dispatched pool index to its job; `drive`
 /// receives the `dispatch`/`collect` door pair (global core = the
-/// engine's position in `engines`) and runs the coordinator. Engine `g`
+/// engine's position in `engines`) and runs the time core. Engine `g`
 /// goes only to worker `g`, which runs its jobs in dispatch order.
 ///
 /// Barrier invariant: no worker touches the engines, `job_of`, the abort
@@ -351,7 +333,7 @@ pub(crate) fn scoped_workers<'e, 'j, J: ChipJob + 'j, R>(
 /// Run one job on a worker's engine, honoring the run's abort flag and
 /// measuring the session delta — the body of every [`scoped_workers`]
 /// worker. Never unwinds: every dispatched job must produce a report, or
-/// the coordinator would wait forever.
+/// the time core would wait forever.
 fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
     if abort.load(Ordering::Relaxed) {
         return JobOutcome::Skipped;

@@ -119,6 +119,16 @@ impl SimError {
             kind: HazardKind::JobPanicked { core, message },
         }
     }
+
+    /// A [`HazardKind::AllChipsDead`] report at session-clock tick
+    /// `cycle` for a cluster of `chips` chips.
+    pub(crate) fn all_chips_dead(cycle: u64, chips: usize) -> Self {
+        Self {
+            cycle: cycle as usize,
+            pe: None,
+            kind: HazardKind::AllChipsDead { chips },
+        }
+    }
 }
 
 impl fmt::Display for SimError {

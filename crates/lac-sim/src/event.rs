@@ -1,96 +1,89 @@
-//! Discrete-event simulation core: the event-driven alternative to the
-//! lock-step wave coordinator, selected per run by [`SimMode`].
+//! The one time core. Every coordinated run — a chip's graph, a service's
+//! or a cluster's tenancy round — advances simulated time in `run_pool`,
+//! under one of two *release rules* that [`SimMode`] picks once per run:
 //!
-//! Both coordinators sit behind one entry point, `crate::coord::coordinate`,
-//! which every door calls — a chip or a service is a one-chip cluster, so
-//! this core and the wave loop each exist exactly once. The wave loop
-//! (in [`crate::cluster`]) advances one *wave* at a time: every chip plans
-//! its ready set, the shared clock jumps by the slowest bucket anywhere,
-//! and only then do children — and cut-edge transfers — move. That
-//! barrier is what makes a cross-chip transfer cost an entire wave of
-//! latency and what forces all-idle gaps to be fast-forwarded as
-//! [`crate::cluster::ClusterStats::transfer_stall_cycles`].
+//! * the **barrier rule** ([`SimMode::Wave`], the default) advances one
+//!   wave at a time: every alive chip plans its whole ready set with the
+//!   wave planners ([`crate::service::plan_wave`],
+//!   [`crate::service::plan_wave_tenanted_slo`]), the wave is dispatched
+//!   and collected, the clock jumps by the slowest bucket anywhere, and
+//!   only then do faults fire and children — and cut-edge transfers —
+//!   move. The barrier is what makes a cross-chip transfer cost a whole
+//!   wave of latency and forces all-idle gaps to be fast-forwarded as
+//!   [`crate::cluster::ClusterStats::transfer_stall_cycles`];
+//! * the **event rule** ([`SimMode::Event`]) is a discrete-event loop over
+//!   components with independent clocks: a **core** takes a new job the
+//!   tick its last one retires; a directed inter-chip **link** serializes
+//!   the transfers it carries (per-hop contention) while other links, and
+//!   compute on both endpoint chips, proceed concurrently; a **chip**
+//!   carries its [`crate::fault::FaultPlan`] kills, which fire at their
+//!   exact tick.
 //!
-//! This module replaces the barrier with a classic discrete-event loop
-//! over *components with independent clocks*:
+//! Both rules run on one run state and share every primitive on it: the
+//! per-chip `ReadyQueues`, dispatch with tenant metering, batch
+//! collection with its one error rule (a panic beats a simulation error,
+//! then the earliest dispatch wins), transfer charging and trace
+//! logging, chip kill with least-loaded requeue, child release, and the
+//! assembly of the run result. Only *when* jobs are released, dispatched
+//! and retired differs, and that lives in the barrier step and the event
+//! step alone.
 //!
-//! * every **core** is a component that is busy exactly while a job runs
-//!   on it and is eligible for a new dispatch the tick the job retires;
-//! * every directed **inter-chip link** is a component whose busy
-//!   intervals are the serialization windows of the transfers it carries
-//!   — two transfers over the same link queue behind each other
-//!   (per-hop link contention), while transfers on *different* links,
-//!   and compute on both endpoint chips, proceed concurrently;
-//! * every **chip** is a component whose only events are its scheduled
-//!   [`crate::fault::FaultPlan`] kills.
+//! Pending events live in one min-heap ordered by `(tick, component,
+//! sequence number)`. Chips order before links before cores, so a fault
+//! due at tick `t` revokes a job completing at the same tick, and the
+//! sequence number (stamped at push, which only happens at deterministic
+//! points) breaks the remaining ties. Under the barrier rule the heap
+//! holds only the fault schedule. Worker reports are buffered per
+//! dispatch batch and folded in job-id order, so host thread
+//! interleavings never reach the run state and runs are bit-identical
+//! across reruns, core counts and machines.
 //!
-//! Pending events live in one min-heap ordered by the total
-//! `(tick, component id, sequence number)` key. Component ids order
-//! chips before links before cores, so a fault due at tick `t` revokes
-//! a job completing at the same tick — exactly the wave coordinator's
-//! conservative revocation — and the sequence number (assigned at push,
-//! which only happens at deterministic points) breaks all remaining
-//! ties. Host thread interleavings never reach the heap: worker results
-//! are buffered per dispatch batch and folded in job-id order, so event
-//! runs are bit-identical across reruns, core counts and machines, like
-//! everything else in this stack.
-//!
-//! Idle fast-forward falls out of the heap for free: when no core is
-//! busy, the loop pops the next event — a transfer arrival or a fault
-//! tick — and jumps the clock there, accounting the gap as a stall.
-//!
-//! **Dispatch** serves each free core from its chip's `ReadyQueues`
-//! rather than a scan of the whole graph, so a run costs O(n log n) in
-//! its job count, not O(n²). A job enters its chip's queues the tick its
-//! last parent retires: a *ready* min-heap keyed by the policy
-//! (`(Reverse(critical path), id)`, or `id` alone for `Fifo` and
-//! `LeastLoaded`) once its inputs are on chip, or a *waiting* min-heap on
-//! `(ready_at, id)` until a cut-edge transfer lands. `FairShare` keeps one
-//! ready heap per tenant and compares the tenants' best jobs under the
-//! streaming tenant comparator, so a pick is O(tenants) on top of the heap
-//! pop. Entries a fault strands on a dead chip are never read (dead chips
-//! take no dispatch), and every popped entry is re-validated before use.
-//! The pick is the linear scan's pick exactly; unit tests assert that on
-//! every dispatch against the scan kept as a test oracle.
+//! A job enters its chip's `ReadyQueues` the tick its last parent is
+//! released, so dispatch never scans the graph: the event rule pops one
+//! job per free core and a run costs O(n log n) in its job count; the
+//! barrier rule drains a chip's ready set for the planners. Unit tests
+//! check every pick and every drained ready set against a scan of the
+//! whole graph.
 //!
 //! **Equivalence contract** (property-tested in `tests/event_props.rs`):
-//! outputs are bit-identical between [`SimMode::Wave`] and
-//! [`SimMode::Event`] on every graph — job outputs are
-//! placement-independent by the determinism contract, and both
-//! coordinators only dispatch a child after all its parents completed.
-//! Only *clocks* may differ: event mode overlaps transfers with compute,
-//! so on cut-edge graphs its makespan is typically well below wave
-//! mode's.
+//! outputs are bit-identical between the two rules on every graph — job
+//! outputs are placement-independent, and both rules dispatch a child
+//! only after all its parents completed. Only *clocks* differ: the event
+//! rule overlaps transfers with compute, so on cut-edge graphs its
+//! makespan is typically well below the barrier rule's.
+//! `tests/schedule_golden.rs` pins both rules' schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::chip::Scheduler;
 use crate::cluster::{ClusterConfig, ClusterStats, Transfer};
-use crate::coord::CoordRun;
-use crate::error::{HazardKind, SimError};
+use crate::coord::{CoordRun, Placement, PoolView, TenantShare};
+use crate::error::SimError;
 use crate::fault::FaultEvent;
-use crate::service::{critical_paths, Done, JobId, JobOutcome, TenantDelta};
+use crate::service::{
+    critical_paths, plan_wave, plan_wave_tenanted_slo, Done, JobId, JobOutcome, TenantDelta,
+};
 use crate::stats::ExecStats;
 use crate::trace::{EventLog, TraceEvent};
 
-/// Which coordinator a chip, service or cluster drives its graphs with.
+/// Which release rule the time core runs a chip's, service's or
+/// cluster's graphs under.
 ///
 /// The knob lives on [`crate::chip::ChipConfig`] and
-/// [`crate::cluster::ClusterConfig`]; both default to the wave
-/// coordinator, the compatibility mode every pre-existing clock and
-/// baseline was recorded under.
+/// [`crate::cluster::ClusterConfig`]; both default to the barrier rule,
+/// the compatibility mode every pre-existing clock and baseline was
+/// recorded under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimMode {
-    /// Lock-step wave coordination (the default): plan a wave, advance
-    /// the shared clock by the slowest bucket, release children. Clocks
-    /// and stats are bit-identical to the pre-event-core coordinator.
+    /// Lock-step waves (the default): plan a wave, advance the shared
+    /// clock by the slowest bucket, fire due faults, release children.
     #[default]
     Wave,
-    /// Discrete-event coordination (this module): per-component clocks,
-    /// eager dispatch the tick a core frees, cut-edge transfers
-    /// overlapping with compute and queueing on their link. Outputs are
-    /// bit-identical to [`SimMode::Wave`]; makespans are usually
+    /// Discrete-event release: per-component clocks, eager dispatch the
+    /// tick a core frees, cut-edge transfers overlapping with compute
+    /// and queueing on their link, kills at their exact tick. Outputs
+    /// are bit-identical to [`SimMode::Wave`]; makespans are usually
     /// shorter on graphs with cross-chip edges.
     Event,
 }
@@ -109,9 +102,9 @@ enum ComponentId {
     Core(usize),
 }
 
-/// What happens when an event fires. The payload never participates in
-/// heap ordering.
-#[derive(Clone, Copy, Debug)]
+/// What happens when an event fires. `(tick, component, seq)` is unique
+/// per event, so the payload never decides heap order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// `faults[idx]` is due: kill its chip.
     Fault(usize),
@@ -123,7 +116,7 @@ enum EventKind {
 }
 
 /// One heap entry: `(tick, component, seq)` is the total order.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     tick: u64,
     comp: ComponentId,
@@ -131,34 +124,38 @@ struct Event {
     kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.tick, self.comp, self.seq) == (other.tick, other.comp, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.tick, self.comp, self.seq).cmp(&(other.tick, other.comp, other.seq))
-    }
+/// Where a job is in its life. Dispatch takes only `Queued` jobs, a kill
+/// requeues only `Blocked` and `Queued` ones, and the requeue load counts
+/// every job not yet `Folded` or `Done`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    /// Waiting on a parent.
+    Blocked,
+    /// In its chip's queues.
+    Queued,
+    /// Dispatched, not retired.
+    Running,
+    /// Running on a chip that died (event rule): retires discarded.
+    Revoked,
+    /// Retired in the wave just folded (barrier rule), not yet released.
+    Folded,
+    /// Retired and released.
+    Done,
 }
 
 /// A min-heap entry in a chip's ready set: `(Reverse(rank), id)`.
 type ReadyKey = Reverse<(Reverse<u64>, usize)>;
 
-/// The per-chip dispatch queues of one event run (see the module doc).
-/// Entries are never removed eagerly: a pick pops and re-validates them
-/// against the run's `queued`/`chip_of`/`ready_at` state.
+/// The per-chip dispatch queues of one run (see the module doc). Entries
+/// are never removed eagerly: a pick or a drain pops and re-validates
+/// them against the run's `stage`/`chip_of`/`ready_at` state.
 struct ReadyQueues {
     /// Ready heap each job joins: its tenant under `FairShare`, else 0.
     class: Vec<usize>,
     /// Heap rank of each job: its critical path under `CriticalPath` and
-    /// `FairShare`, 0 (pure id order) under `Fifo` and `LeastLoaded`.
+    /// `FairShare`, 0 (pure id order) under `Fifo` and `LeastLoaded`. It
+    /// doubles as the wave planners' priority, which only those two
+    /// policies read.
     rank: Vec<u64>,
     /// `ready[chip][class]`: queued jobs whose inputs are on `chip`.
     ready: Vec<Vec<BinaryHeap<ReadyKey>>>,
@@ -168,22 +165,17 @@ struct ReadyQueues {
 }
 
 impl ReadyQueues {
-    fn new(
-        sched: Scheduler,
-        chips: usize,
-        costs: &[u64],
-        children: &[Vec<usize>],
-        tenant_of: &[usize],
-        tenants: usize,
-    ) -> Self {
-        let n = costs.len();
+    fn new(sched: Scheduler, chips: usize, pool: PoolView<'_>, tenants: usize) -> Self {
+        let n = pool.costs.len();
         let (class, classes) = match sched {
-            Scheduler::FairShare => (tenant_of.to_vec(), tenants),
+            Scheduler::FairShare => (pool.tenant_of.to_vec(), tenants),
             _ => (vec![0; n], 1),
         };
         let rank = match sched {
             Scheduler::Fifo | Scheduler::LeastLoaded => vec![0; n],
-            Scheduler::CriticalPath | Scheduler::FairShare => critical_paths(costs, children),
+            Scheduler::CriticalPath | Scheduler::FairShare => {
+                critical_paths(pool.costs, pool.children)
+            }
         };
         Self {
             class,
@@ -203,36 +195,205 @@ impl ReadyQueues {
             self.waiting[chip].push(Reverse((ready_at, j)));
         }
     }
+}
 
-    /// Pop `chip`'s best ready job at `now` under the run's policy. With
-    /// one ready heap that is its top; under `FairShare` the tenants' tops
-    /// are compared by boost, then the `usage × weight` cross-product (the
-    /// live counters), then the heap key — the scan's comparator.
-    #[allow(clippy::too_many_arguments)] // the full deterministic pick context
-    fn pick(
-        &mut self,
-        chip: usize,
-        now: u64,
-        queued: &[bool],
-        chip_of: &[usize],
-        ready_at: &[u64],
-        usage: &[u64],
-        weights: &[u64],
-        boost: &[u64],
-    ) -> Option<usize> {
-        while let Some(&Reverse((tick, j))) = self.waiting[chip].peek() {
-            if tick > now {
-                break;
+/// Run a job pool to completion under the release rule `cfg.sim_mode`
+/// selects — the only place a [`SimMode`] is decided. Every door calls
+/// this, a chip through `crate::coord::coordinate_graph` and a cluster or
+/// service through the cluster's fleet. `place` and `share` are updated
+/// in place (requeues, fair-share usage). `dispatch(core, job)` hands a
+/// job to a global core's worker and `collect` returns one report, with
+/// the job's measured [`ExecStats`] delta, per dispatched job; every
+/// batch is drained before the simulated clock moves.
+pub(crate) fn run_pool<T>(
+    cfg: &ClusterConfig,
+    pool: PoolView<'_>,
+    share: TenantShare<'_>,
+    sched: Scheduler,
+    place: Placement<'_>,
+    mut dispatch: impl FnMut(usize, usize),
+    mut collect: impl FnMut() -> Done<T>,
+) -> Result<CoordRun<T>, SimError> {
+    let mut run = Run::new(cfg, pool, share, sched, place);
+    // Idle under the barrier rule includes stalls (busy + idle =
+    // makespan); the event rule leaves them out (busy + idle + stall =
+    // makespan).
+    let (waves, idle_excluded) = match cfg.sim_mode {
+        SimMode::Wave => (run.barrier_loop(&mut dispatch, &mut collect)?, 0),
+        SimMode::Event => (
+            run.event_loop(&mut dispatch, &mut collect)?,
+            run.stall_cycles,
+        ),
+    };
+    Ok(run.finish(waves, idle_excluded))
+}
+
+/// The state of one run, shared by both release rules.
+struct Run<'a, T> {
+    cfg: &'a ClusterConfig,
+    pool: PoolView<'a>,
+    share: TenantShare<'a>,
+    sched: Scheduler,
+    chip_of: &'a mut [usize],
+    dead: &'a mut [bool],
+    /// Scheduled kills, sorted by `(tick, chip)` on the session clock.
+    faults: &'a [FaultEvent],
+    /// Session clock at run start: error ticks are reported on it.
+    base: u64,
+    /// First global core of each chip.
+    chip_base: Vec<usize>,
+    /// The run-relative simulated clock.
+    now: u64,
+
+    stage: Vec<Stage>,
+    /// Parents not yet released, per job.
+    indegree: Vec<usize>,
+    /// Earliest tick each job's inputs are all on its chip.
+    ready_at: Vec<u64>,
+    queues: ReadyQueues,
+    /// Uncompleted cost placed on each chip — the requeue rule's load,
+    /// exact for every alive chip (a dead chip's entry is never read).
+    remaining: Vec<u64>,
+    outputs: Vec<Option<T>>,
+    /// `(chip, core-within-chip)` of each job's latest dispatch.
+    assignment: Vec<(usize, usize)>,
+    /// Dispatch order of each job's latest dispatch: the error rule's key.
+    dispatch_seq: Vec<usize>,
+    dispatched: usize,
+    /// Each job's latest measured busy cycles.
+    job_cycles: Vec<u64>,
+    completion_tick: Vec<u64>,
+    completed: usize,
+
+    per_core: Vec<ExecStats>,
+    jobs_per_core: Vec<u64>,
+    per_tenant: Vec<TenantDelta>,
+    events: EventLog,
+    transfers: Vec<Transfer>,
+    transferred_words: u64,
+    transfer_cycles: u64,
+    stall_cycles: u64,
+
+    heap: BinaryHeap<Reverse<Event>>,
+    next_seq: u64,
+    /// The event rule's link components: when each directed link
+    /// `from * chips + to` finishes its last serialization window.
+    /// `None` under the barrier rule, whose links do not queue.
+    link_free: Option<Vec<u64>>,
+}
+
+impl<'a, T> Run<'a, T> {
+    fn new(
+        cfg: &'a ClusterConfig,
+        pool: PoolView<'a>,
+        share: TenantShare<'a>,
+        sched: Scheduler,
+        place: Placement<'a>,
+    ) -> Self {
+        let (n, chips, total_cores) = (pool.costs.len(), cfg.chips.len(), cfg.total_cores());
+        let mut run = Self {
+            cfg,
+            pool,
+            sched,
+            chip_of: place.chip_of,
+            dead: place.dead,
+            faults: place.faults,
+            base: place.base,
+            chip_base: cfg.chip_base(),
+            now: 0,
+            stage: vec![Stage::Blocked; n],
+            indegree: pool.parents.iter().map(|p| p.len()).collect(),
+            ready_at: vec![0; n],
+            queues: ReadyQueues::new(sched, chips, pool, share.weights.len()),
+            remaining: vec![0; chips],
+            outputs: (0..n).map(|_| None).collect(),
+            assignment: vec![(0, 0); n],
+            dispatch_seq: vec![0; n],
+            dispatched: 0,
+            job_cycles: vec![0; n],
+            completion_tick: vec![0; n],
+            completed: 0,
+            per_core: vec![ExecStats::default(); total_cores],
+            jobs_per_core: vec![0; total_cores],
+            per_tenant: vec![TenantDelta::default(); share.weights.len()],
+            share,
+            events: EventLog::new(),
+            transfers: Vec::new(),
+            transferred_words: 0,
+            transfer_cycles: 0,
+            stall_cycles: 0,
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            link_free: None,
+        };
+        for j in 0..n {
+            if run.indegree[j] == 0 {
+                run.stage[j] = Stage::Queued;
+                run.queues.push(j, run.chip_of[j], 0, 0);
             }
-            self.waiting[chip].pop();
-            if queued[j] && chip_of[j] == chip && ready_at[j] == tick {
-                self.push(j, chip, tick, now);
-            }
+            run.remaining[run.chip_of[j]] += pool.costs[j].max(1);
         }
+        // Faults are ordinary events from the start; kills already due at
+        // run start fire at tick 0, before anything dispatches.
+        for (i, f) in run.faults.iter().enumerate() {
+            let tick = f.tick.saturating_sub(run.base);
+            run.schedule(tick, ComponentId::Chip(f.chip), EventKind::Fault(i));
+        }
+        run
+    }
+
+    /// Schedule an event, stamping the next sequence number — pushes only
+    /// happen at deterministic points, so the stamp (the final heap
+    /// tie-break) is itself deterministic.
+    fn schedule(&mut self, tick: u64, comp: ComponentId, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Event {
+            tick,
+            comp,
+            seq,
+            kind,
+        }));
+    }
+
+    fn alive_chips(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.dead.len()).filter(|&c| !self.dead[c])
+    }
+
+    /// Move `chip`'s waiting jobs whose transfers landed by now onto its
+    /// ready heaps.
+    fn promote(&mut self, chip: usize) {
+        while let Some(tick) = self.next_waiting(chip).filter(|&t| t <= self.now) {
+            let Reverse((_, j)) = self.queues.waiting[chip].pop().expect("peeked");
+            self.queues.push(j, chip, tick, self.now);
+        }
+    }
+
+    /// The earliest transfer arrival `chip`'s queued jobs wait on,
+    /// dropping stale entries on the way.
+    fn next_waiting(&mut self, chip: usize) -> Option<u64> {
+        while let Some(&Reverse((tick, j))) = self.queues.waiting[chip].peek() {
+            if self.stage[j] == Stage::Queued && self.chip_of[j] == chip && self.ready_at[j] == tick
+            {
+                return Some(tick);
+            }
+            self.queues.waiting[chip].pop();
+        }
+        None
+    }
+
+    /// Pop `chip`'s best ready job under the run's policy (the event
+    /// rule's pick). With one ready heap that is its top; under
+    /// `FairShare` the tenants' tops are compared by boost, then the
+    /// `usage × weight` cross-product (the live counters), then the heap
+    /// key — the scan's comparator.
+    fn pick(&mut self, chip: usize) -> Option<usize> {
+        self.promote(chip);
+        let (weights, usage, boost) = (self.share.weights, &self.share.usage, self.share.boost);
         let mut best: Option<(usize, ReadyKey)> = None;
-        for (c, heap) in self.ready[chip].iter_mut().enumerate() {
+        for (c, heap) in self.queues.ready[chip].iter_mut().enumerate() {
             while let Some(&Reverse((_, j))) = heap.peek() {
-                if queued[j] && chip_of[j] == chip {
+                if self.stage[j] == Stage::Queued && self.chip_of[j] == chip {
                     break;
                 }
                 heap.pop();
@@ -251,508 +412,566 @@ impl ReadyQueues {
                 best = Some((c, key));
             }
         }
-        let (c, _) = best?;
-        self.ready[chip][c].pop().map(|Reverse((_, j))| j)
-    }
-}
-
-/// Schedule an event, stamping the next sequence number — pushes only
-/// happen at deterministic points, so the stamp (the final heap
-/// tie-break) is itself deterministic.
-fn push_event(
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    next_seq: &mut u64,
-    tick: u64,
-    comp: ComponentId,
-    kind: EventKind,
-) {
-    heap.push(Reverse(Event {
-        tick,
-        comp,
-        seq: *next_seq,
-        kind,
-    }));
-    *next_seq += 1;
-}
-
-/// The deterministic event-driven coordinator (the [`SimMode::Event`]
-/// counterpart of the cluster's wave loop). Same backend-agnostic
-/// `dispatch`/`collect` door and result shape as the wave loop: workers
-/// report real measured [`ExecStats`] deltas, and every dispatch batch is
-/// drained before the simulated clock moves, so job durations are known
-/// by the time their completion events are scheduled.
-///
-/// Fault model, requeue rules and metering match the wave coordinator
-/// (see [`crate::fault`]) with one refinement: a kill fires at its exact
-/// tick rather than the next wave boundary, revoking whatever runs on
-/// the dying chip at that tick.
-#[allow(clippy::too_many_arguments)] // the coordinator's full context is the point
-pub(crate) fn drive_event<T>(
-    cfg: &ClusterConfig,
-    costs: &[u64],
-    transfer_words: &[u64],
-    parents: &[Vec<usize>],
-    children: &[Vec<usize>],
-    chip_of: &mut [usize],
-    dead: &mut [bool],
-    faults: &[FaultEvent],
-    base: u64,
-    tenant_of: &[usize],
-    weights: &[u64],
-    usage: &mut [u64],
-    boost: &[u64],
-    sched: Scheduler,
-    mut dispatch: impl FnMut(usize, usize),
-    mut collect: impl FnMut() -> Done<T>,
-) -> Result<CoordRun<T>, SimError> {
-    let n = costs.len();
-    let chips = cfg.chips.len();
-    let chip_base = cfg.chip_base();
-    let total_cores = cfg.total_cores();
-
-    let mut per_core = vec![ExecStats::default(); total_cores];
-    let mut jobs_per_core = vec![0u64; total_cores];
-    let mut per_tenant = vec![TenantDelta::default(); weights.len()];
-    let mut events = EventLog::new();
-
-    let mut indegree: Vec<usize> = parents.iter().map(|p| p.len()).collect();
-    let mut ready_at = vec![0u64; n];
-    // In the dispatchable pool: all parents done, not running/completed.
-    let mut queued: Vec<bool> = indegree.iter().map(|&d| d == 0).collect();
-    let mut queues = ReadyQueues::new(sched, chips, costs, children, tenant_of, weights.len());
-    for j in (0..n).filter(|&j| queued[j]) {
-        queues.push(j, chip_of[j], 0, 0);
-    }
-    // Uncompleted cost placed on each chip — the requeue rule's load,
-    // exact for every alive chip (a dead chip's entry is never read).
-    let mut remaining = vec![0u64; chips];
-    for j in 0..n {
-        remaining[chip_of[j]] += costs[j].max(1);
-    }
-    let mut running = vec![false; n];
-    let mut completed_mask = vec![false; n];
-    let mut revoked = vec![false; n];
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut assignment = vec![(0usize, 0usize); n];
-    let mut completion_tick = vec![0u64; n];
-    let mut dispatch_tick = vec![0u64; n];
-    let mut dispatch_seq_of = vec![0usize; n];
-
-    // Core and link occupancy.
-    let mut core_job: Vec<Option<usize>> = vec![None; total_cores];
-    let mut link_free = vec![0u64; chips * chips];
-    let mut busy_cores = 0usize;
-
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut next_seq = 0u64;
-    // Faults are ordinary events from the start; kills already due at
-    // run start fire at tick 0, before anything dispatches.
-    for (i, f) in faults.iter().enumerate() {
-        push_event(
-            &mut heap,
-            &mut next_seq,
-            f.tick.saturating_sub(base),
-            ComponentId::Chip(f.chip),
-            EventKind::Fault(i),
-        );
+        let pick = best.and_then(|(c, _)| self.queues.ready[chip][c].pop());
+        let pick = pick.map(|Reverse((_, j))| j);
+        #[cfg(test)]
+        self.check_pick(chip, pick);
+        pick
     }
 
-    let mut now = 0u64;
-    let mut completed_count = 0usize;
-    let mut stall_cycles = 0u64;
-    let mut transfers: Vec<Transfer> = Vec::new();
-    let mut transferred_words = 0u64;
-    let mut transfer_cycles = 0u64;
-    let mut dispatch_counter = 0usize;
-
-    // Charge the modeled movement of `parent`'s output to `child`'s chip
-    // through the link's own clock: serialization queues behind whatever
-    // the link already carries; the pipelined hop latency is added on
-    // top without occupying the link.
-    macro_rules! charge_transfer {
-        ($parent:expr, $child:expr, $to:expr) => {{
-            let p = $parent;
-            let from = chip_of[p];
-            let to = $to;
-            let words = transfer_words[p].max(1);
-            let ser = words.div_ceil(cfg.link_words_per_cycle.max(1));
-            let link = from * chips + to;
-            let start = now.max(link_free[link]);
-            link_free[link] = start + ser;
-            let arrival = start + ser + cfg.hop_latency_cycles;
-            transfers.push(Transfer {
-                parent: JobId::from_index(p),
-                child: JobId::from_index($child),
-                from_chip: from,
-                to_chip: to,
-                words,
-                cycles: arrival - now,
-            });
-            transferred_words += words;
-            transfer_cycles += arrival - now;
-            events.push(TraceEvent::Transfer {
-                parent: p,
-                child: $child,
-                from_chip: from,
-                to_chip: to,
-                words,
-                start: now,
-                end: arrival,
-            });
-            push_event(
-                &mut heap,
-                &mut next_seq,
-                arrival,
-                ComponentId::Link(from, to),
-                EventKind::TransferArrive,
-            );
-            arrival
-        }};
-    }
-
-    // Move job `j` off the dead chip `from` onto the surviving chip with
-    // the least remaining (uncompleted) cost, ties to the lower index —
-    // the wave coordinator's requeue rule. Completed parents on other
-    // chips pay one fresh modeled transfer to the job's new home. A job
-    // already queued joins its new chip's queues.
-    macro_rules! requeue {
-        ($j:expr, $from:expr) => {{
-            let j = $j;
-            #[cfg(test)]
-            for c in (0..chips).filter(|&c| !dead[c]) {
-                let scan: u64 = (0..n)
-                    .filter(|&k| !completed_mask[k] && chip_of[k] == c)
-                    .map(|k| costs[k].max(1))
-                    .sum();
-                assert_eq!(
-                    remaining[c], scan,
-                    "chip {c}'s remaining load at tick {now}"
-                );
-            }
-            let target = (0..chips)
-                .filter(|&c| !dead[c])
-                .min_by_key(|&c| (remaining[c], c))
-                .expect("a survivor exists (checked at the kill)");
-            remaining[target] += costs[j].max(1); // `$from` is dead: never read again
-            events.push(TraceEvent::Requeue {
-                job: j,
-                from_chip: $from,
-                to_chip: target,
-                tick: now,
-            });
-            chip_of[j] = target;
-            ready_at[j] = ready_at[j].max(now);
-            for &p in &parents[j] {
-                if completed_mask[p] && chip_of[p] != target {
-                    let arrival = charge_transfer!(p, j, target);
-                    ready_at[j] = ready_at[j].max(arrival);
-                }
-            }
-            if queued[j] {
-                queues.push(j, target, ready_at[j], now);
-            }
-        }};
-    }
-
-    while completed_count < n {
-        // Phase 1: fire every event due at the current tick, in
-        // (component, seq) order — faults first, then arrivals, then
-        // completions.
-        while heap.peek().is_some_and(|Reverse(e)| e.tick <= now) {
-            let Reverse(e) = heap.pop().expect("peeked");
-            match e.kind {
-                EventKind::Fault(idx) => {
-                    let f = &faults[idx];
-                    if dead[f.chip] {
-                        continue; // killing a dead chip is a no-op
-                    }
-                    dead[f.chip] = true;
-                    events.push(TraceEvent::Fault {
-                        chip: f.chip,
-                        tick: now,
-                    });
-                    if dead.iter().all(|&d| d) {
-                        return Err(SimError {
-                            cycle: (base + now) as usize,
-                            pe: None,
-                            kind: HazardKind::AllChipsDead { chips },
-                        });
-                    }
-                    // Executions in flight on the dying chip are revoked
-                    // at their completion tick (the work stays metered).
-                    let range = chip_base[f.chip]..chip_base[f.chip] + cfg.chips[f.chip].cores;
-                    for g in range {
-                        if let Some(j) = core_job[g] {
-                            revoked[j] = true;
-                        }
-                    }
-                    // Everything else the chip owned requeues now,
-                    // least-remaining-load-first, jobs in id order.
-                    for j in 0..n {
-                        if chip_of[j] == f.chip && !completed_mask[j] && !running[j] {
-                            requeue!(j, f.chip);
-                        }
-                    }
-                }
-                EventKind::TransferArrive => {} // the tick was the point
-                EventKind::JobDone { core, job } => {
-                    core_job[core] = None;
-                    busy_cores -= 1;
-                    running[job] = false;
-                    let (chip, c) = assignment[job];
-                    if revoked[job] {
-                        revoked[job] = false;
-                        outputs[job] = None;
-                        events.push(TraceEvent::Job {
-                            job,
-                            tenant: tenant_of[job],
-                            chip,
-                            core: c,
-                            start: dispatch_tick[job],
-                            end: now,
-                            discarded: true,
-                        });
-                        queued[job] = true;
-                        requeue!(job, chip);
-                    } else {
-                        completed_mask[job] = true;
-                        remaining[chip] -= costs[job].max(1);
-                        completed_count += 1;
-                        completion_tick[job] = now;
-                        events.push(TraceEvent::Job {
-                            job,
-                            tenant: tenant_of[job],
-                            chip,
-                            core: c,
-                            start: dispatch_tick[job],
-                            end: now,
-                            discarded: false,
-                        });
-                        for &child in &children[job] {
-                            indegree[child] -= 1;
-                            let arrival = if chip_of[child] != chip_of[job] {
-                                charge_transfer!(job, child, chip_of[child])
-                            } else {
-                                now
-                            };
-                            ready_at[child] = ready_at[child].max(arrival);
-                            if indegree[child] == 0 {
-                                queued[child] = true;
-                                queues.push(child, chip_of[child], ready_at[child], now);
-                            }
-                        }
-                    }
+    /// Drain `chip`'s whole ready set, in id order (the barrier rule's
+    /// planner input). The jobs stay `Queued` until dispatched.
+    fn take_ready(&mut self, chip: usize) -> Vec<usize> {
+        self.promote(chip);
+        let mut ready = Vec::new();
+        for heap in &mut self.queues.ready[chip] {
+            for Reverse((_, j)) in heap.drain() {
+                if self.stage[j] == Stage::Queued && self.chip_of[j] == chip {
+                    ready.push(j);
                 }
             }
         }
-        if completed_count == n {
-            break;
-        }
+        ready.sort_unstable();
+        #[cfg(test)]
+        self.check_ready(chip, &ready);
+        ready
+    }
 
-        // Phase 2: eager dispatch — every free core on every alive chip
-        // takes the policy's best ready job, chips and cores in index
-        // order (the deterministic tie-break).
-        let mut batch = 0usize;
-        for chip in 0..chips {
-            if dead[chip] {
-                continue;
-            }
-            for core in 0..cfg.chips[chip].cores {
-                let g = chip_base[chip] + core;
-                if core_job[g].is_some() {
+    /// Hand job `j` to core `core` of `chip`: stamp its dispatch and
+    /// meter its tenant's wait and fair-share usage.
+    fn dispatch_job(
+        &mut self,
+        chip: usize,
+        core: usize,
+        j: usize,
+        dispatch: impl FnOnce(usize, usize),
+    ) {
+        self.stage[j] = Stage::Running;
+        self.assignment[j] = (chip, core);
+        self.dispatch_seq[j] = self.dispatched;
+        self.dispatched += 1;
+        let t = self.pool.tenant_of[j];
+        let cost = self.pool.costs[j].max(1);
+        self.per_tenant[t].wait_cycles += self.now - self.ready_at[j];
+        self.per_tenant[t].cost_dispatched += cost;
+        self.share.usage[t] += cost;
+        dispatch(self.chip_base[chip] + core, j);
+    }
+
+    /// Collect `count` reports and fold the completed ones into the
+    /// per-core and per-tenant meters and `outputs`; returns the completed
+    /// jobs in id order. Among failures, a panic
+    /// (a job bug, reported as `JobPanicked` at the current session tick)
+    /// beats a simulation error, and within each kind the earliest
+    /// dispatch wins, whatever order the host delivered the reports in.
+    /// Nothing is in flight afterwards, so the backend stays usable.
+    fn collect_batch(
+        &mut self,
+        count: usize,
+        mut collect: impl FnMut() -> Done<T>,
+    ) -> Result<Vec<usize>, SimError> {
+        let mut done: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(count);
+        // The first failure by (is a simulation error, dispatch seq).
+        let mut first: Option<((bool, usize), SimError)> = None;
+        for _ in 0..count {
+            let report = collect();
+            let seq = self.dispatch_seq[report.job];
+            let failure = match report.outcome {
+                JobOutcome::Completed(out, delta) => {
+                    done.push((report.job, report.core, out, delta));
                     continue;
                 }
-                let pick = queues.pick(
-                    chip, now, &queued, chip_of, &ready_at, usage, weights, boost,
-                );
-                #[cfg(test)]
-                if tests::CHECK_PICKS.with(std::cell::Cell::get) {
-                    let scan = pick_ready(
-                        sched,
-                        &queued,
-                        chip_of,
-                        &ready_at,
-                        now,
-                        chip,
-                        &queues.rank,
-                        tenant_of,
-                        usage,
-                        weights,
-                        boost,
-                    );
-                    assert_eq!(pick, scan, "chip {chip} at tick {now}: queue pick vs scan");
+                // Skipped at the job boundary after a peer's failure: no
+                // simulated work happened.
+                JobOutcome::Skipped => continue,
+                JobOutcome::Failed(e) => ((true, seq), e),
+                JobOutcome::Panicked(msg) => {
+                    let at = self.base + self.now;
+                    ((false, seq), SimError::job_panicked(at, report.core, msg))
                 }
-                let Some(j) = pick else {
-                    break; // nothing ready on this chip for any free core
-                };
-                queued[j] = false;
-                running[j] = true;
-                core_job[g] = Some(j);
-                busy_cores += 1;
-                assignment[j] = (chip, core);
-                dispatch_tick[j] = now;
-                dispatch_seq_of[j] = dispatch_counter;
-                dispatch_counter += 1;
-                let t = tenant_of[j];
-                per_tenant[t].wait_cycles += now - ready_at[j];
-                per_tenant[t].cost_dispatched += costs[j].max(1);
-                usage[t] += costs[j].max(1);
-                dispatch(g, j);
-                batch += 1;
+            };
+            if first.as_ref().is_none_or(|(key, _)| failure.0 < *key) {
+                first = Some(failure);
             }
         }
-
-        // Phase 3: drain the whole batch before the clock moves — the
-        // workers' measured durations become completion events. Reports
-        // arrive in host order; buffering and folding them in job-id
-        // order keeps the heap (and the seq counter) deterministic.
-        if batch > 0 {
-            let mut done_batch: Vec<(usize, usize, T, ExecStats)> = Vec::with_capacity(batch);
-            let mut first_err: Option<(usize, SimError)> = None;
-            let mut first_panic: Option<(usize, usize, String)> = None;
-            for _ in 0..batch {
-                let done = collect();
-                let slot = dispatch_seq_of[done.job];
-                match done.outcome {
-                    JobOutcome::Completed(out, delta) => {
-                        done_batch.push((done.job, done.core, out, delta));
-                    }
-                    JobOutcome::Skipped => {}
-                    JobOutcome::Failed(e) => {
-                        if first_err.as_ref().is_none_or(|(s, _)| slot < *s) {
-                            first_err = Some((slot, e));
-                        }
-                    }
-                    JobOutcome::Panicked(msg) => {
-                        if first_panic.as_ref().is_none_or(|(s, ..)| slot < *s) {
-                            first_panic = Some((slot, done.core, msg));
-                        }
-                    }
-                }
-            }
-            if let Some((_, core, message)) = first_panic {
-                return Err(SimError::job_panicked(base + now, core, message));
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e);
-            }
-            done_batch.sort_by_key(|&(j, ..)| j);
-            for (j, core, out, delta) in done_batch {
-                per_core[core].merge(&delta);
-                jobs_per_core[core] += 1;
-                let t = tenant_of[j];
-                per_tenant[t].busy.merge(&delta);
-                per_tenant[t].jobs += 1;
-                outputs[j] = Some(out);
-                push_event(
-                    &mut heap,
-                    &mut next_seq,
-                    now + delta.cycles,
-                    ComponentId::Core(core),
-                    EventKind::JobDone { core, job: j },
-                );
-            }
+        if let Some((_, e)) = first {
+            return Err(e);
         }
+        done.sort_by_key(|&(j, ..)| j);
+        Ok(done
+            .into_iter()
+            .map(|(j, core, out, delta)| {
+                self.per_core[core].merge(&delta);
+                self.jobs_per_core[core] += 1;
+                let t = self.pool.tenant_of[j];
+                self.per_tenant[t].busy.merge(&delta);
+                self.per_tenant[t].jobs += 1;
+                self.outputs[j] = Some(out);
+                self.job_cycles[j] = delta.cycles;
+                j
+            })
+            .collect())
+    }
 
-        // Phase 4: hop to the next event horizon. A gap with every core
-        // idle is a stall (a transfer or fault wait) — the event-mode
-        // reading of the wave coordinator's idle fast-forward.
-        let Some(Reverse(next)) = heap.peek() else {
-            break; // nothing running, nothing scheduled: dangling parents
-        };
-        if next.tick > now {
-            if busy_cores == 0 {
-                events.push(TraceEvent::IdleFastForward {
-                    start: now,
-                    end: next.tick,
-                });
-                stall_cycles += next.tick - now;
+    /// Charge the modeled movement of `parent`'s output to `child` on
+    /// chip `to`, and return its arrival tick. Under the event rule the
+    /// serialization queues behind whatever the link already carries and
+    /// the arrival is a heap event; under the barrier rule links do not
+    /// queue. The pipelined hop latency is added on top either way,
+    /// without occupying the link.
+    fn charge_transfer(&mut self, parent: usize, child: usize, to: usize) -> u64 {
+        let (chips, now) = (self.dead.len(), self.now);
+        let from = self.chip_of[parent];
+        let words = self.pool.transfer_words[parent].max(1);
+        let ser = words.div_ceil(self.cfg.link_words_per_cycle.max(1));
+        let start = self.link_free.as_mut().map_or(now, |free| {
+            let busy_until = &mut free[from * chips + to];
+            *busy_until = now.max(*busy_until) + ser;
+            *busy_until - ser
+        });
+        let arrival = start + ser + self.cfg.hop_latency_cycles;
+        self.transfers.push(Transfer {
+            parent: JobId::from_index(parent),
+            child: JobId::from_index(child),
+            from_chip: from,
+            to_chip: to,
+            words,
+            cycles: arrival - self.now,
+        });
+        self.transferred_words += words;
+        self.transfer_cycles += arrival - self.now;
+        self.events.push(TraceEvent::Transfer {
+            parent,
+            child,
+            from_chip: from,
+            to_chip: to,
+            words,
+            start: self.now,
+            end: arrival,
+        });
+        if self.link_free.is_some() {
+            let link = ComponentId::Link(from, to);
+            self.schedule(arrival, link, EventKind::TransferArrive);
+        }
+        arrival
+    }
+
+    /// Release a retired job: keep its output and free its children, a
+    /// cross-chip child waiting for the modeled transfer (charged exactly
+    /// once per cut edge on the fault-free path — a job is released
+    /// exactly once; requeues may re-charge an edge to a new home).
+    fn release(&mut self, j: usize) {
+        self.stage[j] = Stage::Done;
+        self.completed += 1;
+        self.completion_tick[j] = self.now;
+        let children = self.pool.children;
+        for &child in &children[j] {
+            self.indegree[child] -= 1;
+            let to = self.chip_of[child];
+            let arrival = if to != self.chip_of[j] {
+                self.charge_transfer(j, child, to)
+            } else {
+                self.now
+            };
+            self.ready_at[child] = self.ready_at[child].max(arrival);
+            if self.indegree[child] == 0 {
+                self.stage[child] = Stage::Queued;
+                self.queues.push(child, to, self.ready_at[child], self.now);
             }
-            now = next.tick;
         }
     }
 
-    let makespan = now;
-    // A core's busy intervals never intersect an all-idle stall window,
-    // so `busy + stall <= makespan` holds per core and the remainder is
-    // its dependency idle: `busy + idle + stall = makespan`.
-    let idle_per_core: Vec<u64> = per_core
-        .iter()
-        .map(|s| makespan.saturating_sub(s.cycles + stall_cycles))
-        .collect();
-    let outputs: Vec<T> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(j, o)| o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)")))
-        .collect();
-    let mut wave_ends: Vec<u64> = completion_tick.clone();
-    wave_ends.sort_unstable();
-    wave_ends.dedup();
-    let wave_of: Vec<usize> = completion_tick
-        .iter()
-        .map(|t| wave_ends.binary_search(t).expect("own completion tick"))
-        .collect();
+    /// Log job `j`'s span on its assigned core, retiring at `end`.
+    fn log_job(&mut self, j: usize, end: u64, discarded: bool) {
+        let (chip, core) = self.assignment[j];
+        let start = end - self.job_cycles[j];
+        self.events.push(TraceEvent::Job {
+            job: j,
+            tenant: self.pool.tenant_of[j],
+            chip,
+            core,
+            start,
+            end,
+            discarded,
+        });
+    }
 
-    Ok(CoordRun {
-        outputs,
-        assignment,
-        wave_of,
-        wave_ends,
-        idle_per_core,
-        transfers,
-        stats: ClusterStats::from_cores(
-            cfg,
-            &per_core,
-            &jobs_per_core,
-            makespan,
-            transferred_words,
-            transfer_cycles,
-            stall_cycles,
-        ),
-        per_tenant,
-        events,
-    })
-}
+    /// Kill `chip` (a no-op when it is already dead) and requeue, in id
+    /// order, every job it still owns and has not started — the caller
+    /// has already revoked what it had in flight. Errors with
+    /// `AllChipsDead` when no chip survives.
+    fn kill(&mut self, chip: usize, ready_floor: u64) -> Result<(), SimError> {
+        if self.dead[chip] {
+            return Ok(());
+        }
+        self.dead[chip] = true;
+        self.events.push(TraceEvent::Fault {
+            chip,
+            tick: self.now,
+        });
+        if self.dead.iter().all(|&d| d) {
+            let at = self.base + self.now;
+            return Err(SimError::all_chips_dead(at, self.dead.len()));
+        }
+        for j in 0..self.stage.len() {
+            if self.chip_of[j] == chip && matches!(self.stage[j], Stage::Blocked | Stage::Queued) {
+                self.requeue(j, chip, ready_floor);
+            }
+        }
+        Ok(())
+    }
 
-/// The dispatch pick as a linear scan over every job — the reference
-/// `ReadyQueues::pick` must match on every dispatch, kept as a test
-/// oracle. It is the event-mode reading of the wave planners, one job at
-/// a time: `Fifo`/`LeastLoaded` take the lowest ready id (placement,
-/// their wave-mode difference, is now the free core itself);
-/// `CriticalPath` takes the longest remaining path; `FairShare` replays
-/// the streaming tenant comparator of
-/// [`crate::service::plan_wave_tenanted_slo`] against the live usage
-/// counters.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)] // the full deterministic pick context
-fn pick_ready(
-    sched: Scheduler,
-    queued: &[bool],
-    chip_of: &[usize],
-    ready_at: &[u64],
-    now: u64,
-    chip: usize,
-    priority: &[u64],
-    tenant_of: &[usize],
-    usage: &[u64],
-    weights: &[u64],
-    boost: &[u64],
-) -> Option<usize> {
-    let candidates =
-        (0..queued.len()).filter(|&j| queued[j] && chip_of[j] == chip && ready_at[j] <= now);
-    match sched {
-        Scheduler::Fifo | Scheduler::LeastLoaded => candidates.min(),
-        Scheduler::CriticalPath => candidates.min_by_key(|&j| (Reverse(priority[j]), j)),
-        Scheduler::FairShare => candidates.min_by(|&a, &b| {
-            let (ta, tb) = (tenant_of[a], tenant_of[b]);
-            let ua = usage[ta] as u128 * weights[tb].max(1) as u128;
-            let ub = usage[tb] as u128 * weights[ta].max(1) as u128;
-            boost[ta]
-                .cmp(&boost[tb])
-                .then_with(|| ua.cmp(&ub))
-                .then_with(|| priority[b].cmp(&priority[a]))
-                .then_with(|| a.cmp(&b))
-        }),
+    /// Move job `j` off the dead chip `from` onto the surviving chip with
+    /// the least remaining (uncompleted) cost, ties to the lower index.
+    /// Completed parents on other chips pay one fresh modeled transfer to
+    /// the job's new home; the job's readiness is raised to at least
+    /// `ready_floor` (the event rule meters its wait from the requeue, the
+    /// barrier rule from its first readiness). A queued job joins its new
+    /// chip's queues.
+    fn requeue(&mut self, j: usize, from: usize, ready_floor: u64) {
+        #[cfg(test)]
+        self.check_remaining();
+        let target = self
+            .alive_chips()
+            .min_by_key(|&c| (self.remaining[c], c))
+            .expect("a survivor exists (checked at the kill)");
+        self.remaining[target] += self.pool.costs[j].max(1); // `from` is dead: never read again
+        self.events.push(TraceEvent::Requeue {
+            job: j,
+            from_chip: from,
+            to_chip: target,
+            tick: self.now,
+        });
+        self.chip_of[j] = target;
+        self.ready_at[j] = self.ready_at[j].max(ready_floor);
+        let parents = self.pool.parents;
+        for &p in &parents[j] {
+            if self.stage[p] == Stage::Done && self.chip_of[p] != target {
+                let arrival = self.charge_transfer(p, j, target);
+                self.ready_at[j] = self.ready_at[j].max(arrival);
+            }
+        }
+        if self.stage[j] == Stage::Queued {
+            self.queues.push(j, target, self.ready_at[j], self.now);
+        }
+    }
+
+    /// Jump the clock to `to` with every core idle: a stall.
+    fn fast_forward(&mut self, to: u64) {
+        self.events.push(TraceEvent::IdleFastForward {
+            start: self.now,
+            end: to,
+        });
+        self.stall_cycles += to - self.now;
+        self.now = to;
+    }
+
+    /// The barrier rule ([`SimMode::Wave`]); returns each job's wave and
+    /// each wave's end clock. A wave plans every alive chip's ready set in
+    /// chip order — `FairShare` usage is charged as each chip's buckets
+    /// dispatch, so later chips see earlier chips' picks — and dispatches
+    /// every bucket before the first collect. It folds at its slowest
+    /// bucket; a core runs its bucket in order, so job spans are prefix
+    /// sums. Faults fire only at barriers: before planning, and after the
+    /// fold but before any child is released. A barrier with nothing
+    /// ready fast-forwards to the next transfer arrival or live fault.
+    fn barrier_loop(
+        &mut self,
+        dispatch: &mut impl FnMut(usize, usize),
+        collect: &mut impl FnMut() -> Done<T>,
+    ) -> Result<(Vec<usize>, Vec<u64>), SimError> {
+        let n = self.stage.len();
+        let chips = self.dead.len();
+        let total_cores = self.per_core.len();
+        let mut wave_of = vec![0usize; n];
+        let mut wave_ends: Vec<u64> = Vec::new();
+        while self.completed < n {
+            // Faults due before the wave (at run start, or during a
+            // fast-forward gap): nothing is in flight to revoke.
+            self.fire_barrier_faults(&mut Vec::new(), self.events.len())?;
+
+            // A dead chip owns no queued job, so its ready set is empty.
+            let ready: Vec<Vec<usize>> = (0..chips).map(|chip| self.take_ready(chip)).collect();
+            if ready.iter().all(Vec::is_empty) {
+                // Every queued job waits on a transfer: jump to the
+                // earliest arrival, clamped to the next live fault so a
+                // kill inside the gap fires at its own barrier.
+                let live_fault = self.heap.iter().map(|Reverse(e)| e).filter(
+                    |e| matches!(e.kind, EventKind::Fault(i) if !self.dead[self.faults[i].chip]),
+                );
+                let fault = live_fault.map(|e| e.tick).min().unwrap_or(u64::MAX);
+                let alive: Vec<usize> = self.alive_chips().collect();
+                let arrival = alive.into_iter().filter_map(|c| self.next_waiting(c)).min();
+                self.fast_forward(fault.min(arrival.expect("a queued job waits on a transfer")));
+                continue;
+            }
+
+            let wave = wave_ends.len();
+            let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); total_cores];
+            let mut count = 0;
+            for (chip, chip_ready) in ready.iter().enumerate() {
+                if chip_ready.is_empty() {
+                    continue;
+                }
+                let cores = self.cfg.chips[chip].cores;
+                let buckets = match self.sched {
+                    Scheduler::FairShare => plan_wave_tenanted_slo(
+                        chip_ready,
+                        self.pool.costs,
+                        &self.queues.rank,
+                        self.pool.tenant_of,
+                        self.share.usage,
+                        self.share.weights,
+                        self.share.boost,
+                        cores,
+                    ),
+                    sched => {
+                        plan_wave(sched, chip_ready, self.pool.costs, &self.queues.rank, cores)
+                    }
+                };
+                for (core, bucket) in buckets.iter().enumerate() {
+                    for &j in bucket {
+                        self.dispatch_job(chip, core, j, &mut *dispatch);
+                        wave_of[j] = wave;
+                        by_core[self.chip_base[chip] + core].push(j);
+                        count += 1;
+                    }
+                }
+                // A quantum-capped plan's leftovers stay queued.
+                for &j in chip_ready {
+                    if self.stage[j] == Stage::Queued {
+                        self.queues.push(j, chip, self.ready_at[j], self.now);
+                    }
+                }
+            }
+
+            let mut folded = self.collect_batch(count, &mut *collect)?;
+            let (start, log_start) = (self.now, self.events.len());
+            for bucket in &by_core {
+                let mut t = start;
+                for &j in bucket {
+                    t += self.job_cycles[j];
+                    self.log_job(j, t, false);
+                }
+                self.now = self.now.max(t);
+            }
+            wave_ends.push(self.now);
+            for &j in &folded {
+                self.stage[j] = Stage::Folded;
+                self.remaining[self.chip_of[j]] -= self.pool.costs[j].max(1);
+            }
+
+            // A kill whose tick fell inside this wave fires now, at the
+            // barrier: it discards the dying chip's slice of the wave and
+            // requeues its jobs before any child is released.
+            self.fire_barrier_faults(&mut folded, log_start)?;
+            for j in folded {
+                self.release(j);
+            }
+        }
+        Ok((wave_of, wave_ends))
+    }
+
+    /// Fire every fault due by the barrier at `now`, in `(tick, chip)`
+    /// order. A kill revokes the dying chip's jobs in `folded` — their
+    /// work stays metered, their outputs are discarded, their job events
+    /// from `log_start` on are marked discarded and their children are
+    /// not released — then requeues every job the chip still owns. A
+    /// requeued job keeps its first readiness, and only parents released
+    /// in earlier waves are re-charged to its new home: parents folded in
+    /// this wave charge their edge through the release that follows,
+    /// against the updated placement.
+    fn fire_barrier_faults(
+        &mut self,
+        folded: &mut Vec<usize>,
+        log_start: usize,
+    ) -> Result<(), SimError> {
+        while let Some(&Reverse(e)) = self.heap.peek() {
+            if e.tick > self.now {
+                break;
+            }
+            self.heap.pop();
+            let EventKind::Fault(i) = e.kind else {
+                unreachable!("the barrier rule schedules only faults")
+            };
+            // A dead chip has nothing folded: revoking first is safe.
+            let chip = self.faults[i].chip;
+            folded.retain(|&j| {
+                if self.assignment[j].0 != chip {
+                    return true;
+                }
+                self.outputs[j] = None;
+                self.stage[j] = Stage::Queued;
+                false
+            });
+            for ev in &mut self.events.events_mut()[log_start..] {
+                if let TraceEvent::Job {
+                    chip: c, discarded, ..
+                } = ev
+                {
+                    *discarded |= *c == chip;
+                }
+            }
+            self.kill(chip, 0)?;
+        }
+        Ok(())
+    }
+
+    /// The event rule ([`SimMode::Event`]): fire every event due at the
+    /// current tick, dispatch every free core, collect the batch, hop to
+    /// the next event. A kill fires at its exact tick and revokes
+    /// whatever runs on the dying chip at that tick. Returns each job's
+    /// wave — the rank of its completion tick among the run's distinct
+    /// completion ticks — and those ticks.
+    fn event_loop(
+        &mut self,
+        dispatch: &mut impl FnMut(usize, usize),
+        collect: &mut impl FnMut() -> Done<T>,
+    ) -> Result<(Vec<usize>, Vec<u64>), SimError> {
+        let (n, chips) = (self.stage.len(), self.dead.len());
+        self.link_free = Some(vec![0; chips * chips]);
+        let mut core_job: Vec<Option<usize>> = vec![None; self.per_core.len()];
+        while self.completed < n {
+            // Fire every event due at the current tick, in (component,
+            // seq) order — faults first, then arrivals, then completions.
+            while let Some(&Reverse(e)) = self.heap.peek() {
+                if e.tick > self.now {
+                    break;
+                }
+                self.heap.pop();
+                match e.kind {
+                    EventKind::Fault(idx) => {
+                        // Executions in flight on the dying chip are
+                        // revoked at their completion tick (the work
+                        // stays metered); a dead chip runs nothing.
+                        let chip = self.faults[idx].chip;
+                        let cores =
+                            self.chip_base[chip]..self.chip_base[chip] + self.cfg.chips[chip].cores;
+                        for &j in core_job[cores].iter().flatten() {
+                            self.stage[j] = Stage::Revoked;
+                        }
+                        self.kill(chip, self.now)?;
+                    }
+                    EventKind::TransferArrive => {} // the tick was the point
+                    EventKind::JobDone { core, job } => {
+                        core_job[core] = None;
+                        let revoked = self.stage[job] == Stage::Revoked;
+                        self.log_job(job, self.now, revoked);
+                        let chip = self.assignment[job].0;
+                        if revoked {
+                            self.outputs[job] = None;
+                            self.stage[job] = Stage::Queued;
+                            self.requeue(job, chip, self.now);
+                        } else {
+                            self.remaining[chip] -= self.pool.costs[job].max(1);
+                            self.release(job);
+                        }
+                    }
+                }
+            }
+            if self.completed == n {
+                break;
+            }
+
+            // Eager dispatch: every free core on every alive chip takes
+            // the policy's best ready job, chips and cores in index order
+            // (the deterministic tie-break).
+            let mut batch = 0usize;
+            for chip in 0..chips {
+                if self.dead[chip] {
+                    continue;
+                }
+                for core in 0..self.cfg.chips[chip].cores {
+                    let g = self.chip_base[chip] + core;
+                    if core_job[g].is_some() {
+                        continue;
+                    }
+                    let Some(j) = self.pick(chip) else {
+                        break; // nothing ready on this chip for any free core
+                    };
+                    core_job[g] = Some(j);
+                    self.dispatch_job(chip, core, j, &mut *dispatch);
+                    batch += 1;
+                }
+            }
+
+            // Drain the whole batch before the clock moves: the workers'
+            // measured durations become completion events, scheduled in
+            // job-id order so the heap (and the seq counter) stays
+            // deterministic.
+            for job in self.collect_batch(batch, &mut *collect)? {
+                let (chip, core) = self.assignment[job];
+                let core = self.chip_base[chip] + core;
+                let tick = self.now + self.job_cycles[job];
+                let kind = EventKind::JobDone { core, job };
+                self.schedule(tick, ComponentId::Core(core), kind);
+            }
+
+            // Hop to the next event horizon. A gap with every core idle
+            // is a stall (a transfer or fault wait).
+            let Some(&Reverse(next)) = self.heap.peek() else {
+                break; // nothing running, nothing scheduled: dangling parents
+            };
+            if next.tick > self.now {
+                if core_job.iter().all(Option::is_none) {
+                    self.fast_forward(next.tick);
+                } else {
+                    self.now = next.tick;
+                }
+            }
+        }
+        let mut ends = self.completion_tick.clone();
+        ends.sort_unstable();
+        ends.dedup();
+        let wave_of = self
+            .completion_tick
+            .iter()
+            .map(|t| ends.binary_search(t).expect("own completion tick"))
+            .collect();
+        Ok((wave_of, ends))
+    }
+
+    /// Assemble the run's result. Per-core idle is the makespan minus the
+    /// core's busy cycles and `idle_excluded` (the stall cycles the event
+    /// rule accounts apart).
+    fn finish(
+        self,
+        (wave_of, wave_ends): (Vec<usize>, Vec<u64>),
+        idle_excluded: u64,
+    ) -> CoordRun<T> {
+        let makespan = self.now;
+        let idle_per_core = self
+            .per_core
+            .iter()
+            .map(|s| makespan.saturating_sub(s.cycles + idle_excluded))
+            .collect();
+        let outputs = self
+            .outputs
+            .into_iter()
+            .enumerate()
+            .map(|(j, o)| {
+                o.unwrap_or_else(|| panic!("job {j} never became ready (dangling parent?)"))
+            })
+            .collect();
+        CoordRun {
+            outputs,
+            assignment: self.assignment,
+            wave_of,
+            wave_ends,
+            idle_per_core,
+            transfers: self.transfers,
+            stats: ClusterStats::from_cores(
+                self.cfg,
+                &self.per_core,
+                &self.jobs_per_core,
+                makespan,
+                self.transferred_words,
+                self.transfer_cycles,
+                self.stall_cycles,
+            ),
+            per_tenant: self.per_tenant,
+            events: self.events,
+        }
     }
 }
 
@@ -761,6 +980,7 @@ mod tests {
     use super::*;
     use crate::chip::ChipConfig;
     use crate::config::LacConfig;
+    use crate::error::HazardKind;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -769,11 +989,99 @@ mod tests {
     use std::time::Instant;
 
     thread_local! {
-        /// Whether `drive_event` checks every queue pick against the
-        /// `pick_ready` scan. On by default; the timing test turns it off
-        /// on its own thread, since the scan is the quadratic cost it
-        /// measures away.
+        /// Whether the time core checks every queue pick (event rule)
+        /// and every drained ready set (barrier rule) against the
+        /// `scan_pick`/`scan_ready` oracles. On by default; the timing
+        /// test turns it off on its own thread, since the scan is the
+        /// quadratic cost it measures away.
         pub(super) static CHECK_PICKS: Cell<bool> = const { Cell::new(true) };
+    }
+
+    /// The test oracles the time core checks itself against while
+    /// `CHECK_PICKS` is on.
+    impl<T> Run<'_, T> {
+        /// The test oracle for `Run::take_ready`: `chip`'s ready set by a
+        /// scan over every job, in id order.
+        fn scan_ready(&self, chip: usize) -> impl Iterator<Item = usize> + '_ {
+            (0..self.stage.len()).filter(move |&j| {
+                self.stage[j] == Stage::Queued
+                    && self.chip_of[j] == chip
+                    && self.ready_at[j] <= self.now
+            })
+        }
+
+        /// The test oracle for `Run::pick`: the event rule's pick as a
+        /// linear scan over `chip`'s ready set. It is the event-mode
+        /// reading of the wave planners, one job at a time:
+        /// `Fifo`/`LeastLoaded` take the lowest ready id (placement, their
+        /// wave-mode difference, is now the free core itself);
+        /// `CriticalPath` takes the longest remaining path; `FairShare`
+        /// replays the streaming tenant comparator of
+        /// [`crate::service::plan_wave_tenanted_slo`] against the live
+        /// usage counters.
+        fn scan_pick(&self, chip: usize) -> Option<usize> {
+            let priority = &self.queues.rank;
+            let tenant_of = self.pool.tenant_of;
+            let TenantShare {
+                weights,
+                ref usage,
+                boost,
+            } = self.share;
+            let mut candidates = self.scan_ready(chip);
+            match self.sched {
+                Scheduler::Fifo | Scheduler::LeastLoaded => candidates.next(),
+                Scheduler::CriticalPath => candidates.min_by_key(|&j| (Reverse(priority[j]), j)),
+                Scheduler::FairShare => candidates.min_by(|&a, &b| {
+                    let (ta, tb) = (tenant_of[a], tenant_of[b]);
+                    let ua = usage[ta] as u128 * weights[tb].max(1) as u128;
+                    let ub = usage[tb] as u128 * weights[ta].max(1) as u128;
+                    boost[ta]
+                        .cmp(&boost[tb])
+                        .then_with(|| ua.cmp(&ub))
+                        .then_with(|| priority[b].cmp(&priority[a]))
+                        .then_with(|| a.cmp(&b))
+                }),
+            }
+        }
+
+        /// Every alive chip's `remaining` load equals a scan of the jobs
+        /// placed on it that are neither folded nor done.
+        pub(super) fn check_remaining(&self) {
+            for c in self.alive_chips() {
+                let scan: u64 = (0..self.stage.len())
+                    .filter(|&k| {
+                        self.chip_of[k] == c
+                            && !matches!(self.stage[k], Stage::Folded | Stage::Done)
+                    })
+                    .map(|k| self.pool.costs[k].max(1))
+                    .sum();
+                let now = self.now;
+                assert_eq!(
+                    self.remaining[c], scan,
+                    "chip {c}'s remaining load at tick {now}"
+                );
+            }
+        }
+
+        /// The barrier rule's drained ready set matches the scan.
+        pub(super) fn check_ready(&self, chip: usize, ready: &[usize]) {
+            if CHECK_PICKS.with(Cell::get) {
+                let scan: Vec<usize> = self.scan_ready(chip).collect();
+                assert_eq!(ready, scan, "chip {chip} at tick {}: ready set", self.now);
+            }
+        }
+
+        /// The event rule's queue pick matches the scan.
+        pub(super) fn check_pick(&self, chip: usize, pick: Option<usize>) {
+            if CHECK_PICKS.with(Cell::get) {
+                let scan = self.scan_pick(chip);
+                assert_eq!(
+                    pick, scan,
+                    "chip {chip} at tick {}: queue pick vs scan",
+                    self.now
+                );
+            }
+        }
     }
 
     /// A pure in-memory backend: `dispatch` queues `(core, job)`,
@@ -851,28 +1159,34 @@ mod tests {
         let (_q, dispatch, collect) = fake_backend(costs.to_vec());
         let mut dead = vec![false; dead_chips];
         let mut usage = vec![0u64];
-        drive_event(
+        run_pool(
             topo,
-            costs,
-            words,
-            parents,
-            children,
-            chip_of,
-            &mut dead,
-            faults,
-            0,
-            &vec![0usize; n],
-            &[1],
-            &mut usage,
-            &[u64::MAX],
+            PoolView {
+                costs,
+                transfer_words: words,
+                parents,
+                children,
+                tenant_of: &vec![0usize; n],
+            },
+            TenantShare {
+                weights: &[1],
+                usage: &mut usage,
+                boost: &[u64::MAX],
+            },
             Scheduler::Fifo,
+            Placement {
+                chip_of,
+                dead: &mut dead,
+                faults,
+                base: 0,
+            },
             dispatch,
             collect,
         )
         .expect("event run")
     }
 
-    /// Everything one `drive_event` call reads, so a run can be replayed.
+    /// Everything one `run_pool` call reads, so a run can be replayed.
     struct Scenario {
         topo: ClusterConfig,
         costs: Vec<u64>,
@@ -896,21 +1210,27 @@ mod tests {
             let mut chip_of = self.chip_of.clone();
             let mut dead = vec![false; self.topo.chips.len()];
             let mut usage = self.usage.clone();
-            let r = drive_event(
+            let r = run_pool(
                 &self.topo,
-                &self.costs,
-                &self.words,
-                &self.parents,
-                &self.children,
-                &mut chip_of,
-                &mut dead,
-                &self.faults,
-                0,
-                &self.tenant_of,
-                &self.weights,
-                &mut usage,
-                &self.boost,
+                PoolView {
+                    costs: &self.costs,
+                    transfer_words: &self.words,
+                    parents: &self.parents,
+                    children: &self.children,
+                    tenant_of: &self.tenant_of,
+                },
+                TenantShare {
+                    weights: &self.weights,
+                    usage: &mut usage,
+                    boost: &self.boost,
+                },
                 self.sched,
+                Placement {
+                    chip_of: &mut chip_of,
+                    dead: &mut dead,
+                    faults: &self.faults,
+                    base: 0,
+                },
                 dispatch,
                 collect,
             );
@@ -974,19 +1294,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        // Every pick inside these runs is asserted equal to the linear
-        // scan's (`CHECK_PICKS` is on); a rerun reproduces the whole
-        // `CoordRun` — outputs, assignment, events, stats.
+        // Under both release rules, every pick (event rule) and every
+        // drained ready set (barrier rule) inside these runs is asserted
+        // equal to the linear scan's (`CHECK_PICKS` is on), and so is
+        // every chip's remaining load at each requeue; a rerun
+        // reproduces the whole `CoordRun` — outputs, assignment, events,
+        // stats.
         #[test]
         fn queue_picks_match_the_scan_and_reruns_are_identical(seed in any::<u64>()) {
-            let sc = random_scenario(seed);
-            let (first, chip_of, usage) = sc.run();
-            let (second, chip_of2, usage2) = sc.run();
-            prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
-            prop_assert_eq!(chip_of, chip_of2);
-            prop_assert_eq!(usage, usage2);
-            if let Ok(r) = first {
-                prop_assert_eq!(r.outputs, (0..sc.costs.len()).collect::<Vec<_>>());
+            let mut sc = random_scenario(seed);
+            for mode in [SimMode::Wave, SimMode::Event] {
+                sc.topo.sim_mode = mode;
+                let (first, chip_of, usage) = sc.run();
+                let (second, chip_of2, usage2) = sc.run();
+                prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
+                prop_assert_eq!(chip_of, chip_of2);
+                prop_assert_eq!(usage, usage2);
+                if let Ok(r) = first {
+                    prop_assert_eq!(r.outputs, (0..sc.costs.len()).collect::<Vec<_>>());
+                }
             }
         }
     }
@@ -1021,14 +1347,16 @@ mod tests {
         }
     }
 
-    // The complexity contract of the dispatch path: host time per job
-    // may grow at most 4x from 1k to 32k jobs (a per-pick scan of the
-    // graph grows it ~30x). Best of 3 runs, no threads, oracle off.
+    // The complexity contract of the dispatch path, under both release
+    // rules: host time per job may grow at most 4x from 1k to 32k jobs
+    // (a per-pick scan of the graph grows it ~30x). Best of 3 runs, no
+    // threads, oracle off.
     #[test]
     fn event_dispatch_scales_near_linearly() {
         CHECK_PICKS.with(|c| c.set(false));
-        let us_per_job = |jobs: usize, sched: Scheduler| {
-            let sc = layered_scenario(jobs, sched);
+        let us_per_job = |jobs: usize, sched: Scheduler, mode: SimMode| {
+            let mut sc = layered_scenario(jobs, sched);
+            sc.topo.sim_mode = mode;
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
@@ -1039,13 +1367,17 @@ mod tests {
                 })
                 .fold(f64::INFINITY, f64::min)
         };
-        for sched in [Scheduler::CriticalPath, Scheduler::FairShare] {
-            let (small, large) = (us_per_job(1 << 10, sched), us_per_job(1 << 15, sched));
-            let growth = large / small;
-            assert!(
-                growth <= 4.0,
-                "{sched:?}: {small:.2} us/job at 1k, {large:.2} us/job at 32k ({growth:.2}x)"
-            );
+        for mode in [SimMode::Wave, SimMode::Event] {
+            for sched in [Scheduler::CriticalPath, Scheduler::FairShare] {
+                let small = us_per_job(1 << 10, sched, mode);
+                let large = us_per_job(1 << 15, sched, mode);
+                let growth = large / small;
+                assert!(
+                    growth <= 4.0,
+                    "{mode:?} {sched:?}: {small:.2} us/job at 1k, {large:.2} us/job at 32k \
+                     ({growth:.2}x)"
+                );
+            }
         }
     }
 
@@ -1176,21 +1508,27 @@ mod tests {
         let (_q, dispatch, collect) = fake_backend(vec![4]);
         let mut dead = vec![false];
         let mut usage = vec![0u64];
-        let err = drive_event(
+        let err = run_pool(
             &topo,
-            &[4],
-            &[1],
-            &[vec![]],
-            &[vec![]],
-            &mut [0],
-            &mut dead,
-            &[FaultEvent { tick: 0, chip: 0 }],
-            0,
-            &[0],
-            &[1],
-            &mut usage,
-            &[u64::MAX],
+            PoolView {
+                costs: &[4],
+                transfer_words: &[1],
+                parents: &[vec![]],
+                children: &[vec![]],
+                tenant_of: &[0],
+            },
+            TenantShare {
+                weights: &[1],
+                usage: &mut usage,
+                boost: &[u64::MAX],
+            },
             Scheduler::Fifo,
+            Placement {
+                chip_of: &mut [0],
+                dead: &mut dead,
+                faults: &[FaultEvent { tick: 0, chip: 0 }],
+                base: 0,
+            },
             dispatch,
             collect,
         )

@@ -1,13 +1,14 @@
 //! Deterministic fault injection for the cluster layer: scheduled chip
-//! kills, applied by the cluster coordinator like any other event.
+//! kills, applied by the time core like any other event.
 //!
 //! A [`FaultPlan`] is a set of "kill chip *k* at tick *t*" events on the
 //! cluster's **session clock** (the same absolute clock
 //! [`crate::cluster::ClusterSession::clock_cycles`] meters and the
 //! open-loop traffic layer schedules arrivals on). Under the default
-//! wave coordinator the simulated clock only moves at wave boundaries
-//! and fast-forwards, so a kill is applied at the first wave boundary at
-//! or after its tick; under [`crate::event::SimMode::Event`] the kill is
+//! [`crate::event::SimMode::Wave`] the simulated clock only moves at
+//! wave boundaries and fast-forwards, so a kill is applied at the first
+//! wave boundary at or after its tick; under
+//! [`crate::event::SimMode::Event`] the kill is
 //! just another heap event and fires at its **exact** tick (faults order
 //! before transfer arrivals and job completions on the same tick, so the
 //! revocation set stays conservative). Either way fault handling is
@@ -20,8 +21,9 @@
 //!
 //! * the chip is marked dead for the rest of the cluster's life — no
 //!   future wave plans on it, across rounds;
-//! * jobs **in flight on the dying chip** in the wave the kill tick fell
-//!   into are *discarded*: their outputs are revoked and their children
+//! * jobs **in flight on the dying chip** — in the wave the kill tick
+//!   fell into, or at the kill tick under `SimMode::Event` — are
+//!   *discarded*: their outputs are revoked and their children
 //!   are not released, but the simulated work stays metered in the
 //!   per-core and per-tenant busy stats (the energy really was burned —
 //!   which is what keeps energy attribution conserved under failure);
@@ -29,7 +31,7 @@
 //!   the surviving chips (least-loaded-first over remaining cost hints,
 //!   ties to the lower chip index, jobs in id order);
 //! * outputs of jobs that *completed before the kill* are durable — the
-//!   coordinator collects results as waves retire (a cluster-level
+//!   time core collects results as jobs retire (a cluster-level
 //!   results store), so completed work is never re-run. A requeued job
 //!   whose completed parent sits on a different chip pays one fresh
 //!   modeled transfer to move that parent's output to its new home;
@@ -53,19 +55,23 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultEvent {
     /// Session-clock tick (absolute simulated cycles since cluster
-    /// construction) at which the chip dies. The kill is applied at the
-    /// first wave boundary at or after this tick.
+    /// construction) at which the chip dies. Under
+    /// [`crate::event::SimMode::Wave`] the kill is applied at the first
+    /// wave boundary at or after this tick; under
+    /// [`crate::event::SimMode::Event`] at this exact tick.
     pub tick: u64,
     /// The chip to kill.
     pub chip: usize,
 }
 
 /// A deterministic fault-injection schedule: chip kills on the cluster
-/// session clock, applied by the coordinator at wave boundaries.
+/// session clock, applied by the time core at wave boundaries under
+/// [`crate::event::SimMode::Wave`] and at their exact tick under
+/// [`crate::event::SimMode::Event`].
 ///
 /// Install a plan with [`crate::cluster::LacCluster::inject_faults`] (or
 /// the [`crate::cluster::LacCluster::with_fault_plan`] builder). Kills
-/// whose tick is already in the past fire at the next wave boundary; a
+/// whose tick is already in the past fire as the next run starts; a
 /// kill on an already-dead chip is a no-op.
 ///
 /// ```

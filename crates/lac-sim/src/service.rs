@@ -13,12 +13,12 @@
 //!   on previously added jobs (`add_after` / `add_dep`). Because an edge
 //!   can only point backwards, the graph is acyclic by construction. A job
 //!   becomes *ready* only when all its parents completed.
-//! * **Deterministic dispatch** — every door hands its jobs to one
-//!   coordinator entry (`crate::coord::coordinate`); to it a chip or a
-//!   service is simply a one-chip cluster, so [`crate::chip::LacChip`],
-//!   [`LacService`] and [`crate::cluster::LacCluster`] share one wave loop
-//!   and one discrete-event core ([`crate::event`], picked by
-//!   [`crate::event::SimMode`]). In the default wave mode execution
+//! * **Deterministic dispatch** — every door hands its jobs to one time
+//!   core (`crate::event::run_pool`); to it a chip or a service is simply
+//!   a one-chip cluster, so [`crate::chip::LacChip`], [`LacService`] and
+//!   [`crate::cluster::LacCluster`] share one run state under two release
+//!   rules, lock-step waves and discrete events ([`crate::event`], picked
+//!   by [`crate::event::SimMode`]). In the default wave mode execution
 //!   proceeds in waves over the ready set, each planned up front from
 //!   cost hints by the [`Scheduler`] policy ([`plan_wave`]): `Fifo`
 //!   round-robins in job-id order, `LeastLoaded` greedily balances
@@ -34,8 +34,8 @@
 //!   and the static/uncore terms of `lac-power`'s chip energy model see
 //!   dependency stalls, not just busy time.
 //! * **[`LacService`]** — a one-chip [`LacCluster`]: its jobs run on
-//!   the same worker pool, wave loop and event core as every other
-//!   door, and its shards persist across submissions. On top it
+//!   the same worker pool and time core as every other door, and its
+//!   shards persist across submissions. On top it
 //!   accumulates a [`ServiceSession`]: per-core meters, a service clock
 //!   summing submission makespans (plus explicit
 //!   [`LacService::advance_idle`] gaps between batches), and graph/job
@@ -407,8 +407,8 @@ pub(crate) enum JobOutcome<T> {
     /// The simulation rejected the schedule.
     Failed(SimError),
     /// The job itself panicked (caught so the worker can still report —
-    /// an unreported job would deadlock the coordinator's wave
-    /// collection). The coordinator reports it as
+    /// an unreported job would deadlock the time core's batch
+    /// collection). The time core reports it as
     /// [`crate::error::HazardKind::JobPanicked`] once the batch drains.
     Panicked(String),
 }

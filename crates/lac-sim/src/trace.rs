@@ -172,7 +172,7 @@ impl TraceEvent {
 
 /// The ordered event log of one cluster run (or one merged open-loop
 /// replay). Events are recorded in simulated-clock order as the
-/// coordinator emits them; the log is a pure function of the schedule,
+/// time core emits them; the log is a pure function of the schedule,
 /// so reruns are bit-identical.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventLog {
@@ -195,9 +195,9 @@ impl EventLog {
         &self.events
     }
 
-    /// Mutable view for the cluster coordinator: a fault revoking the
-    /// in-flight wave flips the wave's already-recorded job events to
-    /// `discarded` in place.
+    /// Mutable view for the time core: a fault revoking the in-flight
+    /// wave flips the wave's already-recorded job events to `discarded`
+    /// in place.
     pub(crate) fn events_mut(&mut self) -> &mut [TraceEvent] {
         &mut self.events
     }
