@@ -1022,11 +1022,7 @@ mod tests {
         fn scan_pick(&self, chip: usize) -> Option<usize> {
             let priority = &self.queues.rank;
             let tenant_of = self.pool.tenant_of;
-            let TenantShare {
-                weights,
-                ref usage,
-                boost,
-            } = self.share;
+            let (weights, usage, boost) = (self.share.weights, &self.share.usage, self.share.boost);
             let mut candidates = self.scan_ready(chip);
             match self.sched {
                 Scheduler::Fifo | Scheduler::LeastLoaded => candidates.next(),

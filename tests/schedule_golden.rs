@@ -21,12 +21,11 @@
 //! * **the chip door** — [`LacChip::run_graph`] on 1–3 cores under every
 //!   policy.
 //!
-//! The digests were recorded before the wave coordinator moved onto the
-//! event core, so they are the behavioural spec of that change: a
-//! refactor of the time core must reproduce every clock, meter, trace
-//! event and error bit-for-bit. A digest mismatch prints the value the
-//! code now produces; re-recording one is a behaviour change and needs a
-//! reason of its own.
+//! The digests are the behavioural spec of the time core: a refactor of
+//! it must reproduce every clock, meter, trace event and error
+//! bit-for-bit. A digest mismatch prints the value the code now
+//! produces; re-recording one is a behaviour change and needs a reason
+//! of its own.
 
 mod common;
 
