@@ -22,10 +22,12 @@
 //!   (from deterministic cost hints — see [`crate::service::plan_wave`]),
 //!   so a graph run is reproducible bit-for-bit no matter how the host
 //!   threads interleave;
-//! * the shards then run their buckets in parallel — one worker per core,
-//!   no work stealing — and the per-core [`ExecStats`] deltas are merged
-//!   into a [`ChipStats`] with per-core breakdown, aggregate counters, and
-//!   the makespan (dependency stalls included).
+//! * the shards then run their buckets — a cheap wave on the calling
+//!   thread, a costly one in parallel on pooled workers, each core's
+//!   bucket on one thread, no work stealing — and the per-core
+//!   [`ExecStats`] deltas are merged into a [`ChipStats`] with per-core
+//!   breakdown, aggregate counters, and the makespan (dependency stalls
+//!   included).
 //!
 //! Simulated time and host time are distinct: the makespan is accumulated
 //! from each wave's slowest bucket in *simulated* cycles, which is
@@ -47,10 +49,15 @@ pub trait ChipJob: Send + Sync {
     /// What the job produces (functional outputs plus per-run stats).
     type Output: Send;
 
-    /// Estimated cost in arbitrary-but-consistent units (e.g. flops). Only
-    /// the *relative* magnitudes matter, and only to the load-aware
-    /// policies ([`Scheduler::LeastLoaded`], [`Scheduler::CriticalPath`]).
-    /// Defaults to 1 (all jobs equal).
+    /// Estimated cost in consistent units, about one per flop. It drives
+    /// the load-aware policies ([`Scheduler::LeastLoaded`],
+    /// [`Scheduler::CriticalPath`]), which read only relative magnitudes,
+    /// and the worker pool, which reads the absolute sum: a dispatch
+    /// batch whose hints sum to at most [`crate::INLINE_COST`] runs on
+    /// the coordinator thread, a costlier one is handed to worker
+    /// threads. Defaults to 1 (all jobs equal, every small batch
+    /// inline); every production job type overrides it. Only host time
+    /// depends on the hand-off — never a simulated number.
     fn cost_hint(&self) -> u64 {
         1
     }
@@ -455,21 +462,22 @@ impl LacChip {
     /// ([`ChipConfig::sim_mode`] picks wave or event mode; see the
     /// [`crate::service`] module docs): in wave mode each wave is planned
     /// up front from the jobs' cost hints, then every core executes its
-    /// bucket in plan order on its own pooled worker thread. Outputs come
+    /// bucket in plan order — all on the calling thread when the wave's
+    /// hints sum to at most [`crate::INLINE_COST`], else one core's on
+    /// the calling thread and each other's on a pooled worker. Outputs come
     /// back in submission order regardless of placement, and
     /// [`GraphRun::events`] carries the run's trace.
     ///
-    /// On a simulation error the earliest-dispatched *observed* error (in
-    /// wave mode: by core index, then bucket position; a job panic,
-    /// reported as [`crate::error::HazardKind::JobPanicked`], wins over a
-    /// hazard) is returned; the other workers stop at their next job
-    /// boundary and nothing further is dispatched. (If
-    /// several jobs of one wave would fail, which of them still ran
-    /// before seeing the abort flag is host-timing dependent, so the
-    /// reported error may vary — determinism covers successful runs, not
-    /// failure identity.) Work that already simulated stays metered in
-    /// the shard sessions — sessions meter, they do not roll back — so
-    /// `Err` means "the graph did not complete", not "nothing ran". Use
+    /// On a simulation error the run stops dispatching and returns one
+    /// error, chosen by one rule: a job panic (reported as
+    /// [`crate::error::HazardKind::JobPanicked`]) beats a hazard, then
+    /// the earliest dispatch wins (in wave mode: by core index, then
+    /// bucket position). Every job of the failing batch still runs to
+    /// completion, whatever its peers do, so the reported error — like a
+    /// successful run's outputs — is the same on every rerun and host,
+    /// whichever threads ran the batch. Work that already simulated stays metered in the shard
+    /// sessions — sessions meter, they do not roll back — so `Err` means
+    /// "the graph did not complete", not "nothing ran". Use
     /// [`LacChip::shard`] session meters (or `reset_session` per shard)
     /// if a retry must not double-count.
     pub fn run_graph<J: ChipJob>(
@@ -630,22 +638,19 @@ mod tests {
     }
 
     #[test]
-    fn peers_stop_at_the_next_job_boundary_after_a_failure() {
-        // Same-wave failure: the bad job leads core 0's bucket, so core 0
-        // skips its remaining jobs; core 1 stops wherever the abort flag
-        // catches it (host-timing dependent, bounded by its bucket).
+    fn every_job_of_a_failing_batch_runs_to_completion() {
+        // Same-wave failure: Fifo puts jobs 0, 2, 4 on core 0 and 1, 3 on
+        // core 1. The bad job leads core 0's bucket, yet both buckets run
+        // to the end: core 0 completes jobs 2 and 4 (the bad job errored
+        // mid-run and never counted), core 1 completes jobs 1 and 3.
         let graph: JobGraph<ProgramJob> = vec![bad_job(), job(0), job(0), job(0), job(0)]
             .into_iter()
             .collect();
         let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
         let err = chip.run_graph(&graph, Scheduler::Fifo).unwrap_err();
         assert_eq!(err.cycle, 0);
-        assert_eq!(
-            chip.shard(0).programs_run(),
-            0,
-            "bucket skipped after the failure"
-        );
-        assert!(chip.shard(1).programs_run() <= 2);
+        assert_eq!(chip.shard(0).programs_run(), 2);
+        assert_eq!(chip.shard(1).programs_run(), 2);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //!   function of the graph's cost hints and edges — never of host timing
 //!   — which is what keeps cluster runs reproducible bit-for-bit.
 //! * **[`LacCluster`]** — owns the chips, partitions each pool over the
-//!   alive ones, lends one pooled worker per core and runs the pool on
-//!   the one time core every door shares (`crate::event::run_pool`). The
+//!   alive ones, lends its cores' engines to the one worker pool and
+//!   runs the pool on the one time core every door shares
+//!   (`crate::event::run_pool`). The
 //!   time core adds transfer-aware readiness to the schedulers: a child
 //!   whose parent completed on another chip becomes ready only after the
 //!   modeled transfer elapses on the simulated clock, and when every core
@@ -518,8 +519,9 @@ impl ClusterSession {
 /// admission.
 ///
 /// Like [`LacChip`], a cluster borrows the calling thread and the one
-/// worker pool per run: one worker per core per chip, each holding its
-/// shard's [`crate::engine::LacEngine`] for the duration of the run.
+/// worker pool per run: every core's [`crate::engine::LacEngine`] runs
+/// its jobs on the calling thread, or on a pooled worker for a batch
+/// worth the hand-off (see [`crate::INLINE_COST`]).
 /// Shard state and session meters persist across runs — the chips are
 /// owned, not rebuilt. [`crate::service::LacService`] is a one-chip
 /// cluster.
@@ -597,8 +599,8 @@ impl Fleet {
         })
     }
 
-    /// Partition a job pool over the alive chips, lend one pooled worker
-    /// per core per chip, and run the pool on the time core. `base` is the
+    /// Partition a job pool over the alive chips, lend every core's
+    /// engine to the worker pool, and run the pool on the time core. `base` is the
     /// session clock at run start; `job_of` resolves a pool index to the
     /// job to run (identity for [`LacCluster::run_graph`], the owner map
     /// for rounds). Chips killed during the run stay marked dead for

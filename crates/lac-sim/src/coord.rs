@@ -6,17 +6,21 @@
 //! [`TenantShare`] and a [`Placement`]; under either release rule it gets
 //! back one [`CoordRun`] shape.
 //!
-//! The module also holds the one worker pool ([`scoped_workers`]): one
-//! worker thread per engine for one run, checked out of a process-wide
-//! idle-worker cache and returned to it when the run ends. Threads are
-//! reused across runs and spawned only when the cache runs short. The
-//! chip uses the pool directly; the service runs as a one-chip cluster,
-//! so every door's jobs execute on it. It is the only place the crate
-//! spawns threads or uses channels, and the only place it uses `unsafe`:
-//! a worker receives each run's borrowed engine and job resolver with
-//! their lifetimes erased. An end-of-run barrier makes that sound — on
-//! return and on unwind, the run waits until every worker has finished
-//! its jobs and dropped everything the run lent it.
+//! The module also holds the one worker pool ([`scoped_workers`]), where
+//! every door's jobs run. The coordinator thread owns a run's engines and
+//! runs each dispatch batch itself unless the batch is worth a hand-off
+//! ([`INLINE_COST`]); then it lends each other engine, with that engine's
+//! jobs of the batch, to a worker thread and gets the engine back with
+//! the last report. Workers are checked out of a process-wide idle cache
+//! on a run's first hand-off and returned when the run ends, so threads
+//! are reused across runs, spawned only when the cache runs short, and
+//! never taken by a run that keeps every batch inline. The pool is the
+//! only place the crate spawns threads or uses channels, and the only
+//! place it uses `unsafe`: a hand-off carries a borrowed engine and job
+//! resolver with their lifetimes erased. An end-of-run barrier makes that
+//! sound — on return and on unwind, the run waits until every worker it
+//! checked out has finished its hand-offs and dropped everything the run
+//! lent it.
 
 use crate::chip::{ChipConfig, ChipJob, Scheduler};
 use crate::cluster::{ClusterConfig, ClusterStats, Transfer};
@@ -26,6 +30,7 @@ use crate::event::run_pool;
 use crate::fault::FaultEvent;
 use crate::service::{Done, GraphRun, JobGraph, JobOutcome, TenantDelta};
 use crate::trace::EventLog;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, PoisonError};
@@ -167,22 +172,44 @@ pub(crate) fn coordinate_graph<J: ChipJob>(
     .map(CoordRun::into_graph_run)
 }
 
-/// One run's work on one worker: run pool index `job` on the engine the
-/// worker was handed for this run and report it on the run's `Done`
-/// channel. It borrows the run's engine, `job_of` resolver and abort
-/// flag, and owns a clone of the run's `Done` sender.
-type RunJob<'r> = Box<dyn FnMut(usize) + Send + 'r>;
+/// A dispatch batch whose summed [`ChipJob::cost_hint`] is at most this
+/// runs whole on the coordinator thread; a costlier batch hands its
+/// jobs on every engine but the first-dispatched one to worker threads.
+///
+/// A hand-off costs the host more than its channel send and wake-ups:
+/// the engine's state also migrates to another CPU's cache. A sweep of
+/// fused solver-loop fleets on a 2-core chip, every batch inline against
+/// every batch handed off (`docs/PERFORMANCE.md`, "Host cost of the
+/// event core"), puts the crossover between wave costs of about 2,500
+/// and 4,600 (hint units are about flops: 0.03–0.045 host µs each), so
+/// the threshold sits between them. The short-job benchmark workloads
+/// batch at most about 1,000 and run inline; the medium solver loops'
+/// waves cost 65,000 and more and keep the second CPU. Only host time
+/// depends on this value: which thread runs a job never reaches a
+/// simulated number, an output or an error.
+pub const INLINE_COST: u64 = 3_000;
 
-/// What a worker receives, in FIFO order per run: one `Run`, that run's
-/// `Job`s, then `End`.
+/// One hand-off: one engine's jobs of one batch, run in dispatch order
+/// on a worker. It holds the lent engine, borrows the run's `job_of`
+/// resolver and abort flag, and owns a clone of the run's report sender;
+/// the engine goes back with the report of its last job.
+type Task<'r> = Box<dyn FnOnce() + Send + 'r>;
+
+/// What a worker receives, in FIFO order: a run's hand-offs, then `End`.
 enum Msg {
-    /// The run's job closure, lifetime-erased to `'static`. Sound only
+    /// One hand-off to run now, lifetime-erased to `'static`. Sound only
     /// under the [`Checkout`] barrier.
-    Run(RunJob<'static>),
-    /// A pool index to run with the current `Run` closure.
-    Job(usize),
-    /// The run is over: drop the `Run` closure, then ack.
+    Task(Task<'static>),
+    /// The run is over: ack.
     End,
+}
+
+/// One job's report as it crosses back from a worker: the [`Done`] the
+/// time core collects and, with a hand-off's last report, the lent
+/// engine.
+struct Report<'e, T> {
+    done: Done<T>,
+    engine: Option<&'e mut LacEngine>,
 }
 
 /// An idle worker thread: its inbox, and the ack channel it owns and
@@ -192,9 +219,9 @@ struct Worker {
     ack: Receiver<()>,
 }
 
-/// The process-wide idle-worker cache. A run checks out one worker per
-/// engine, spawning only when the cache runs short, and returns them
-/// after its barrier; no worker keeps state between runs.
+/// The process-wide idle-worker cache. A run checks workers out on its
+/// first hand-off, spawning only when the cache runs short, and returns
+/// them after its barrier; no worker keeps state between runs.
 static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
 
 impl Worker {
@@ -209,18 +236,15 @@ impl Worker {
     }
 }
 
-/// A worker thread's body: run each run's jobs in arrival order, and on
-/// `End` drop everything the run lent (engine borrow, resolver, abort
-/// flag, `Done` sender) *before* acking, so the ack is the last thing
-/// the worker does for that run.
+/// A worker thread's body: run each hand-off in arrival order and ack
+/// each `End`. A hand-off drops everything the run lent it (engine
+/// borrow, resolver, abort flag, report sender) when it returns, so the
+/// ack follows the worker's last touch of the run's data.
 fn worker_loop(inbox: Receiver<Msg>, ack: Sender<()>) {
-    let mut run: Option<RunJob<'static>> = None;
     while let Ok(msg) = inbox.recv() {
         match msg {
-            Msg::Run(f) => run = Some(f),
-            Msg::Job(job) => (run.as_mut().expect("a job outside a run"))(job),
+            Msg::Task(task) => task(),
             Msg::End => {
-                run = None;
                 if ack.send(()).is_err() {
                     return;
                 }
@@ -229,32 +253,39 @@ fn worker_loop(inbox: Receiver<Msg>, ack: Sender<()>) {
     }
 }
 
-/// The workers one run checked out — worker `g` holds engine `g`. Its
-/// `Drop` is the end-of-run barrier and runs on return *and* on unwind:
-/// it raises the run's abort flag (so jobs still queued after an unwind
-/// skip), sends every worker `End`, and blocks on each worker's ack.
-/// FIFO order puts the ack after the worker has finished every job of
-/// the run and dropped the run's closure, so once `drop` returns no
-/// worker touches run-borrowed data again. Only acked workers go back to
-/// [`IDLE`]; a worker whose thread died is discarded.
+/// The workers one run has checked out — none until its first hand-off.
+/// Its `Drop` is the end-of-run barrier and runs on return *and* on
+/// unwind: it raises the run's abort flag (so hand-offs still queued
+/// after an unwind stop at their next job), sends every worker `End`,
+/// and blocks on each worker's ack. FIFO order puts the ack after the
+/// worker has finished every hand-off of the run and dropped it, so once
+/// `drop` returns no worker touches run-borrowed data again. Only acked
+/// workers go back to [`IDLE`]; a worker whose thread died is discarded.
 struct Checkout<'a> {
     workers: Vec<Worker>,
     abort: &'a AtomicBool,
 }
 
-impl<'a> Checkout<'a> {
-    fn take(n: usize, abort: &'a AtomicBool) -> Self {
-        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
-        let keep = idle.len().saturating_sub(n);
-        let mut workers = idle.split_off(keep);
-        drop(idle);
-        workers.resize_with(n, Worker::spawn);
-        Self { workers, abort }
+impl Checkout<'_> {
+    /// Hold at least `n` workers: take the shortfall from [`IDLE`],
+    /// spawning only when the cache runs short.
+    fn reserve(&mut self, n: usize) {
+        let short = n.saturating_sub(self.workers.len());
+        if short > 0 {
+            let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+            let keep = idle.len().saturating_sub(short);
+            self.workers.extend(idle.drain(keep..));
+            drop(idle);
+            self.workers.resize_with(n, Worker::spawn);
+        }
     }
 }
 
 impl Drop for Checkout<'_> {
     fn drop(&mut self) {
+        if self.workers.is_empty() {
+            return;
+        }
         self.abort.store(true, Ordering::Relaxed);
         for w in &self.workers {
             // A send error means the thread is gone; its ack recv fails too.
@@ -271,82 +302,156 @@ impl Drop for Checkout<'_> {
     }
 }
 
-/// The one worker pool: one worker thread per engine for one run, taken
-/// from a process-wide idle cache and returned to it afterwards, so a
-/// run spawns threads only when the cache runs short. Every door
-/// executes its jobs here — [`crate::chip::LacChip`] directly,
-/// [`crate::cluster::LacCluster`] and the one-chip
-/// [`crate::service::LacService`] through the cluster's run path.
-/// `job_of` resolves a dispatched pool index to its job; `drive`
+/// The one worker pool, where every door's jobs run —
+/// [`crate::chip::LacChip`] directly, [`crate::cluster::LacCluster`] and
+/// the one-chip [`crate::service::LacService`] through the cluster's run
+/// path. `job_of` resolves a dispatched pool index to its job; `drive`
 /// receives the `dispatch`/`collect` door pair (global core = the
-/// engine's position in `engines`) and runs the time core. Engine `g`
-/// goes only to worker `g`, which runs its jobs in dispatch order.
+/// engine's position in `engines`) and runs the time core, which
+/// dispatches a batch, then collects one report per job of it before it
+/// dispatches the next.
+///
+/// `dispatch` only records. The batch's first `collect` runs it: if its
+/// summed [`ChipJob::cost_hint`] is at most [`INLINE_COST`] the calling
+/// thread runs it whole; otherwise each engine but the first-dispatched
+/// one lends its jobs to a worker thread, and the calling thread runs
+/// the first-dispatched engine's jobs meanwhile. Either way an engine
+/// runs its jobs of a batch in dispatch order on one thread, and every
+/// job runs to completion whatever its peers do, so no report depends on
+/// which thread ran it. Workers are checked out of a process-wide idle
+/// cache on the run's first hand-off and go back when it ends: a run
+/// that never hands off, such as every run of a one-core door, takes
+/// none.
 ///
 /// Barrier invariant: no worker touches the engines, `job_of`, the abort
-/// flag or the run's `Done` channel after this function returns or
+/// flag or the run's report channel after this function returns or
 /// unwinds. The [`Checkout`] guard enforces it: when `drive` returns —
-/// or unwinds — it ends the run on every worker and waits for each ack.
+/// or unwinds — it ends the run on every checked-out worker and waits
+/// for each ack.
 pub(crate) fn scoped_workers<'e, 'j, J: ChipJob + 'j, R>(
     engines: impl IntoIterator<Item = &'e mut LacEngine>,
     job_of: impl Fn(usize) -> &'j J + Sync,
     drive: impl FnOnce(&mut dyn FnMut(usize, usize), &mut dyn FnMut() -> Done<J::Output>) -> R,
 ) -> R {
+    const DRAINED: &str = "a batch dispatched before the previous one drained";
     // Declared before the guard, so they outlive its barrier.
     let abort = AtomicBool::new(false);
-    let (done_tx, done_rx) = channel::<Done<J::Output>>();
-    let engines: Vec<&mut LacEngine> = engines.into_iter().collect();
-    let pool = Checkout::take(engines.len(), &abort);
-    for ((core, eng), worker) in engines.into_iter().enumerate().zip(&pool.workers) {
-        let (abort, job_of, done_tx) = (&abort, &job_of, done_tx.clone());
-        let run: RunJob<'_> = Box::new(move |job| {
-            let outcome = run_one(eng, job_of(job), abort);
-            // A closed channel means the run is unwinding: the report is moot.
-            let _ = done_tx.send(Done { core, job, outcome });
-        });
-        // SAFETY: `run` borrows this call's engine, `job_of` and abort
-        // flag and owns a sender on this call's `Done` channel. Erasing
-        // its lifetime is sound because of the `pool` barrier: `pool` is
-        // dropped before any of those borrows end (on return and on
-        // unwind), and its `Drop` blocks until this worker has acked
-        // `End`, which the worker sends only after it has run every job
-        // of this run and dropped `run`. Engine `core` is lent to this
-        // one worker only, so the `&mut` stays exclusive.
-        let run = unsafe { std::mem::transmute::<RunJob<'_>, RunJob<'static>>(run) };
-        worker
-            .inbox
-            .send(Msg::Run(run))
-            .expect("pooled worker hung up");
-    }
+    let (report_tx, reports) = channel::<Report<'e, J::Output>>();
+    // An engine is home unless a worker holds it for a hand-off.
+    let mut home: Vec<Option<&'e mut LacEngine>> = engines.into_iter().map(Some).collect();
+    let mut pool = Checkout {
+        workers: Vec::new(),
+        abort: &abort,
+    };
+    // `(core, job)` in dispatch order, since the last collect.
+    let batch = RefCell::new(Vec::new());
+    // Reports of jobs this thread ran, not yet collected.
+    let mut ran_here: Vec<Done<J::Output>> = Vec::new();
     let out = drive(
-        &mut |core, job| {
-            pool.workers[core]
-                .inbox
-                .send(Msg::Job(job))
-                .expect("pooled worker hung up")
+        &mut |core, job| batch.borrow_mut().push((core, job)),
+        &mut || {
+            let mut batch = batch.borrow_mut();
+            if let Some(&(first, _)) = batch.first() {
+                let cost = batch
+                    .iter()
+                    .map(|&(_, job)| job_of(job).cost_hint())
+                    .fold(0, u64::saturating_add);
+                if cost > INLINE_COST {
+                    let mut lanes = vec![Vec::new(); home.len()];
+                    for &(core, job) in batch.iter().filter(|&&(core, _)| core != first) {
+                        lanes[core].push(job);
+                    }
+                    batch.retain(|&(core, _)| core == first);
+                    let lent: Vec<(usize, Vec<usize>)> = lanes
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(_, jobs)| !jobs.is_empty())
+                        .collect();
+                    pool.reserve(lent.len());
+                    for ((core, jobs), worker) in lent.into_iter().zip(&pool.workers) {
+                        let eng = home[core].take().expect(DRAINED);
+                        let (job_of, abort, tx) = (&job_of, &abort, report_tx.clone());
+                        let task: Task<'_> =
+                            Box::new(move || run_lent(core, &jobs, eng, job_of, abort, &tx));
+                        // SAFETY: `task` borrows this call's `job_of` and
+                        // abort flag, owns a sender on this call's report
+                        // channel, and holds engine `core`'s `&mut`, taken
+                        // out of `home` so nothing else reaches the engine
+                        // until the task's last report brings it back.
+                        // Erasing its lifetime is sound because of the
+                        // `pool` barrier: `pool` is dropped before any of
+                        // those borrows end (on return and on unwind), and
+                        // its `Drop` blocks until this worker has acked
+                        // `End`, which the worker sends only after it has
+                        // run and dropped every task sent before it.
+                        let task = unsafe { std::mem::transmute::<Task<'_>, Task<'static>>(task) };
+                        worker
+                            .inbox
+                            .send(Msg::Task(task))
+                            .expect("pooled worker hung up");
+                    }
+                }
+                for (core, job) in batch.drain(..) {
+                    let eng = home[core].as_deref_mut().expect(DRAINED);
+                    let outcome = run_one(eng, job_of(job));
+                    ran_here.push(Done { core, job, outcome });
+                }
+            }
+            if let Some(done) = ran_here.pop() {
+                return done;
+            }
+            let report = reports.recv().expect("pooled worker hung up");
+            if let Some(eng) = report.engine {
+                home[report.done.core] = Some(eng);
+            }
+            report.done
         },
-        &mut || done_rx.recv().expect("pooled worker hung up"),
     );
     drop(pool);
     out
 }
 
-/// Run one job on a worker's engine, honoring the run's abort flag and
-/// measuring the session delta — the body of every [`scoped_workers`]
-/// worker. Never unwinds: every dispatched job must produce a report, or
-/// the time core would wait forever.
-fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J, abort: &AtomicBool) -> JobOutcome<J::Output> {
-    if abort.load(Ordering::Relaxed) {
-        return JobOutcome::Skipped;
+/// A hand-off's body on a worker: run `jobs` in order on engine `core`
+/// and report each, sending the engine home with the last report. Stops
+/// at the next job once the run's abort flag is up — the run is
+/// unwinding and nobody collects the reports.
+fn run_lent<'e, 'j, J: ChipJob + 'j>(
+    core: usize,
+    jobs: &[usize],
+    eng: &'e mut LacEngine,
+    job_of: &impl Fn(usize) -> &'j J,
+    abort: &AtomicBool,
+    tx: &Sender<Report<'e, J::Output>>,
+) {
+    let mut eng = Some(eng);
+    for (i, &job) in jobs.iter().enumerate() {
+        if abort.load(Ordering::Relaxed) {
+            return;
+        }
+        let outcome = run_one(eng.as_deref_mut().expect("lent"), job_of(job));
+        let engine = if i + 1 == jobs.len() {
+            eng.take()
+        } else {
+            None
+        };
+        // A closed channel means the run is unwinding.
+        let _ = tx.send(Report {
+            done: Done { core, job, outcome },
+            engine,
+        });
     }
+}
+
+/// Run one job on an engine and measure its session delta — the body of
+/// every [`scoped_workers`] job, on whichever thread runs it. Never
+/// unwinds: every dispatched job must produce a report, or the time core
+/// would wait forever.
+fn run_one<J: ChipJob>(eng: &mut LacEngine, job: &J) -> JobOutcome<J::Output> {
     let before = *eng.session_stats();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_on(eng))) {
         Ok(Ok(out)) => JobOutcome::Completed(out, eng.session_stats().since(&before)),
-        Ok(Err(e)) => {
-            abort.store(true, Ordering::Relaxed);
-            JobOutcome::Failed(e)
-        }
+        Ok(Err(e)) => JobOutcome::Failed(e),
         Err(payload) => {
-            abort.store(true, Ordering::Relaxed);
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -401,16 +506,24 @@ mod tests {
     #[test]
     fn a_drive_that_unwinds_still_drains_its_workers() {
         let mut chip = LacChip::new(ChipConfig::new(2, LacConfig::default()));
-        let jobs: Vec<ProgramJob> = (0..64).map(|i| job(i % 9)).collect();
+        // Costly enough that the batch's first collect hands core 1's 32
+        // jobs to a worker while the calling thread runs core 0's.
+        let jobs: Vec<ProgramJob> = (0..64)
+            .map(|i| ProgramJob {
+                cost: INLINE_COST,
+                ..job(i % 9)
+            })
+            .collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             scoped_workers(
                 chip.shards_mut().iter_mut(),
                 |j| &jobs[j],
-                |dispatch, _collect| {
+                |dispatch, collect| {
                     for j in 0..jobs.len() {
                         dispatch(j % 2, j);
                     }
-                    panic!("coordinator gave up before collecting");
+                    collect();
+                    panic!("coordinator gave up mid-batch");
                 },
             )
         }));

@@ -202,9 +202,10 @@ impl ReadyQueues {
 /// this, a chip through `crate::coord::coordinate_graph` and a cluster or
 /// service through the cluster's fleet. `place` and `share` are updated
 /// in place (requeues, fair-share usage). `dispatch(core, job)` hands a
-/// job to a global core's worker and `collect` returns one report, with
+/// job to a global core's engine and `collect` returns one report, with
 /// the job's measured [`ExecStats`] delta, per dispatched job; every
-/// batch is drained before the simulated clock moves.
+/// batch is drained before the next is dispatched and the simulated
+/// clock moves.
 pub(crate) fn run_pool<T>(
     cfg: &ClusterConfig,
     pool: PoolView<'_>,
@@ -481,9 +482,6 @@ impl<'a, T> Run<'a, T> {
                     done.push((report.job, report.core, out, delta));
                     continue;
                 }
-                // Skipped at the job boundary after a peer's failure: no
-                // simulated work happened.
-                JobOutcome::Skipped => continue,
                 JobOutcome::Failed(e) => ((true, seq), e),
                 JobOutcome::Panicked(msg) => {
                     let at = self.base + self.now;
@@ -895,7 +893,7 @@ impl<'a, T> Run<'a, T> {
                 }
             }
 
-            // Drain the whole batch before the clock moves: the workers'
+            // Drain the whole batch before the clock moves: the jobs'
             // measured durations become completion events, scheduled in
             // job-id order so the heap (and the seq counter) stays
             // deterministic.

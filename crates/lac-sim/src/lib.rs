@@ -47,6 +47,7 @@ pub use cluster::{
 };
 pub use compile::{compile, CacheStats, CompiledProgram, FallbackReason, ProgramCache};
 pub use config::{ExecBackend, LacConfig};
+pub use coord::INLINE_COST;
 pub use dynamic::{
     run_dynamic, Continuation, ContinuationBackend, Continue, DynamicError, DynamicGraph,
     DynamicOutcome, DynamicRun,

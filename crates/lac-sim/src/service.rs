@@ -26,8 +26,8 @@
 //!   remaining cost-hint path first (classic critical-path list
 //!   scheduling — on a flat graph it degenerates to
 //!   longest-processing-time-first). Planning never looks at host timing,
-//!   so a graph run is reproducible bit-for-bit no matter how the OS
-//!   schedules the workers.
+//!   so a graph run is reproducible bit-for-bit no matter which threads
+//!   run the jobs or how the OS schedules them.
 //! * **Simulated clock with idle accounting** — a wave's simulated span is
 //!   its slowest core's bucket; cores with lighter buckets accrue idle
 //!   cycles. The makespan is the sum of wave spans, so chip utilization
@@ -402,18 +402,16 @@ pub fn plan_wave_tenanted_slo(
 pub(crate) enum JobOutcome<T> {
     /// Output plus the job's session-stats delta.
     Completed(T, ExecStats),
-    /// Skipped at the job boundary because a peer already failed.
-    Skipped,
     /// The simulation rejected the schedule.
     Failed(SimError),
-    /// The job itself panicked (caught so the worker can still report —
+    /// The job itself panicked (caught so the job can still report —
     /// an unreported job would deadlock the time core's batch
     /// collection). The time core reports it as
     /// [`crate::error::HazardKind::JobPanicked`] once the batch drains.
     Panicked(String),
 }
 
-/// What one worker reports back per dispatched job.
+/// What the pool reports back per dispatched job, whichever thread ran it.
 pub(crate) struct Done<T> {
     pub(crate) core: usize,
     pub(crate) job: usize,
