@@ -10,8 +10,9 @@
 //! instead. Ratios of one machine's timings are machine-independent;
 //! each point is the best of 3 runs.
 //!
-//! Timed, so run it in release with few test threads (CI pins
-//! `--release -- --test-threads 2`).
+//! Timed, so it runs in release only, with few test threads (CI pins
+//! `--release -- --test-threads 2`); a debug build times unoptimized
+//! code, not the contract.
 
 use lac_sim::{
     ChipConfig, ClusterConfig, JobGraph, LacCluster, LacConfig, ProgramBuilder, ProgramJob,
@@ -51,6 +52,7 @@ fn us_per_job(graph: &JobGraph<&ProgramJob>, mode: SimMode) -> f64 {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "timed: run with --release")]
 fn per_job_host_cost_is_flat_and_the_event_rule_is_not_dearer() {
     let mut b = ProgramBuilder::new(LacConfig::default().nr);
     b.push_step();
