@@ -96,6 +96,22 @@ if [ -n "$hits" ]; then
   fail=1
 fi
 
+# Gate 7: no `powi` on the FPU model's hot path. `f64::powi` is a
+# multiply loop (40-65 ns a call); the accumulator and the special-function
+# seeds scale by powers of two with `lac_fpu::pow2i`, which builds 2^k from
+# its exponent bits and returns the same bits as `2f64.powi(k)` for every
+# k (crates/lac-fpu/tests/bit_identity.rs). Test modules may still use
+# `powi`, as that oracle does: only lines above a file's first column-0
+# `#[cfg(test)]` count.
+hits=$(find ./crates/lac-fpu/src ./crates/lac-sim/src -name '*.rs' | sort | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /powi\(/ { print f ":" FNR ":" $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+  echo "powi in non-test FPU/simulator code (use lac_fpu::pow2i):"
+  echo "$hits"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "all grep gates passed"
 fi

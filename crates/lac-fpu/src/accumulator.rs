@@ -11,6 +11,35 @@
 //! software "big exponent" float. Products are formed exactly in this
 //! representation before being accumulated, so intermediate overflow is
 //! impossible for any finite inputs.
+//!
+//! Only the extension-on datapath keeps its accumulator in this form.
+//! Without the extension the accumulator is a plain binary64 (see
+//! [`crate::MacUnit`]), and [`crate::MacUnit::acc_wide`] builds this view
+//! from it on demand with [`ExtendedAccumulator::from_f64`]. That view
+//! reads back the same value, except that a signalling NaN reads back
+//! quiet: every read-out multiplies by a power of two, and the multiply
+//! quiets it.
+//!
+//! Scaling uses [`pow2i`], which builds a power of two from its exponent
+//! bits, rather than `f64::powi`, a multiply loop about 20× slower.
+
+/// `2^k` built from its exponent bits, equal bit for bit to what
+/// `f64::powi` returns at run time for base 2 and every `k`: exact for
+/// `k ∈ [−1022, 1023]`, the subnormal `2^−1023` for `k = −1023`, `+∞`
+/// above 1023, and `0.0` below −1023 (where `powi` forms `1/2^|k|` and
+/// `2^|k|` overflows).
+#[inline]
+pub fn pow2i(k: i32) -> f64 {
+    if k > 1023 {
+        f64::INFINITY
+    } else if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else if k == -1023 {
+        f64::from_bits(1 << 51)
+    } else {
+        0.0
+    }
+}
 
 /// Wide accumulator: value = `mantissa × 2^exp2`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,7 +57,7 @@ fn split(x: f64) -> (f64, i32) {
     let raw_exp = ((bits >> 52) & 0x7ff) as i32;
     if raw_exp == 0 {
         // subnormal: scale up by 2^64 first
-        let scaled = x * 2f64.powi(64);
+        let scaled = x * pow2i(64);
         let (m, e) = split(scaled);
         return (m, e - 64);
     }
@@ -39,27 +68,27 @@ fn split(x: f64) -> (f64, i32) {
 
 fn assemble(m: f64, e: i32) -> f64 {
     // May overflow/underflow to inf/0 — that is the *normalization* step.
-    // Apply the exponent in chunks: `powi` itself saturates past ±1023.
+    // Apply the exponent in chunks: `pow2i` itself saturates past ±1023.
     if m == 0.0 {
         return m;
     }
     let mut v = m;
     let mut e = e;
     while e > 1000 {
-        v *= 2f64.powi(1000);
+        v *= pow2i(1000);
         e -= 1000;
         if v.is_infinite() {
             return v;
         }
     }
     while e < -1000 {
-        v *= 2f64.powi(-1000);
+        v *= pow2i(-1000);
         e += 1000;
         if v == 0.0 {
             return v;
         }
     }
-    v * 2f64.powi(e)
+    v * pow2i(e)
 }
 
 impl ExtendedAccumulator {
@@ -116,7 +145,7 @@ impl ExtendedAccumulator {
         }
         let h = self.exp2.div_euclid(2);
         let m = assemble(self.mantissa, self.exp2 - 2 * h);
-        m.sqrt() * 2f64.powi(h)
+        m.sqrt() * pow2i(h)
     }
 
     /// Plain add of an ordinary double.
@@ -143,7 +172,7 @@ impl ExtendedAccumulator {
         };
         let de = hi_e - lo_e;
         if de < 1080 {
-            hi_m += lo_m * 2f64.powi(-de);
+            hi_m += lo_m * pow2i(-de);
         }
         // renormalize mantissa into [0.5, 1)
         let (nm, ne) = split(hi_m);

@@ -27,7 +27,7 @@ pub mod mac;
 pub mod pipeline;
 pub mod special;
 
-pub use accumulator::ExtendedAccumulator;
+pub use accumulator::{pow2i, ExtendedAccumulator};
 pub use comparator::{magnitude_ge, magnitude_max_index};
 pub use mac::{FpuConfig, MacUnit, Precision};
 pub use pipeline::Pipeline;

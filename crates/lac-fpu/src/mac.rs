@@ -1,6 +1,21 @@
 //! The PE's fused multiply-accumulate unit (§3.2, §A.3.1).
+//!
+//! The accumulator register takes one of two forms, fixed by
+//! [`FpuConfig::exponent_extension`]. With the extension it is an
+//! [`ExtendedAccumulator`], the wide (mantissa, exponent) pair of §A.2.
+//! Without it, it is a plain binary64, and a MAC retire is
+//! `acc = round(acc + a·b)` with two roundings, as binary64 arithmetic
+//! rounds. [`MacUnit::acc_wide`] and [`MacUnit::read_acc_sqrt`] build the
+//! wide view from it on demand.
+//!
+//! **NaN rule.** The narrow register holds a value exactly as the wide
+//! register would read it back. Reading back multiplies by a power of two,
+//! which returns every value unchanged except a signalling NaN: that comes
+//! back quiet, with its sign and payload kept. So [`MacUnit::load_acc`]
+//! stores a signalling NaN quiet. A retire needs no such step, because
+//! arithmetic never yields a signalling NaN.
 
-use crate::accumulator::ExtendedAccumulator;
+use crate::accumulator::{pow2i, ExtendedAccumulator};
 use crate::pipeline::Pipeline;
 
 /// Arithmetic precision of the datapath. The same FMAC hardware is assumed
@@ -58,6 +73,26 @@ struct MacOp {
     negate: bool,
 }
 
+/// The accumulator register (see the module docs).
+#[derive(Clone, Copy, Debug)]
+enum Acc {
+    /// Without the exponent extension: the binary64 value, never a
+    /// signalling NaN.
+    Narrow(f64),
+    /// With the exponent extension.
+    Wide(ExtendedAccumulator),
+}
+
+/// Quiet a signalling NaN the way a binary64 multiply does: set the quiet
+/// bit, keep sign and payload. Every other value passes unchanged.
+fn quiet(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::from_bits(x.to_bits() | 1 << 51)
+    } else {
+        x
+    }
+}
+
 /// Timing- and range-accurate FMAC model with a local accumulator.
 ///
 /// Semantics follow the paper: throughput one MAC per cycle, results
@@ -67,7 +102,7 @@ struct MacOp {
 pub struct MacUnit {
     cfg: FpuConfig,
     pipe: Pipeline<MacOp>,
-    acc: ExtendedAccumulator,
+    acc: Acc,
     /// Result latch for non-accumulator ops (`c + a·b`).
     result: Option<f64>,
     /// Lifetime op count (feeds the energy model).
@@ -79,7 +114,11 @@ impl MacUnit {
         Self {
             pipe: Pipeline::new(cfg.pipeline_depth),
             cfg,
-            acc: ExtendedAccumulator::new(),
+            acc: if cfg.exponent_extension {
+                Acc::Wide(ExtendedAccumulator::new())
+            } else {
+                Acc::Narrow(0.0)
+            },
             result: None,
             ops_issued: 0,
         }
@@ -98,18 +137,29 @@ impl MacUnit {
 
     /// Load the accumulator (the `C` preload over the column bus).
     pub fn load_acc(&mut self, v: f64) {
-        self.acc = ExtendedAccumulator::from_f64(self.round(v));
+        let v = self.round(v);
+        self.acc = match self.acc {
+            Acc::Narrow(_) => Acc::Narrow(quiet(v)),
+            Acc::Wide(_) => Acc::Wide(ExtendedAccumulator::from_f64(v)),
+        };
     }
 
     /// Read the accumulator, normalizing (the stream-out step).
     pub fn read_acc(&self) -> f64 {
-        self.round(self.acc.normalize())
+        self.round(match &self.acc {
+            Acc::Narrow(x) => *x,
+            Acc::Wide(w) => w.normalize(),
+        })
     }
 
-    /// The wide accumulator itself (the extended-format read port the §A.2
-    /// datapath exposes to the sequencer).
-    pub fn acc_wide(&self) -> &ExtendedAccumulator {
-        &self.acc
+    /// The wide accumulator (the extended-format read port the §A.2
+    /// datapath exposes to the sequencer). Without the exponent extension
+    /// it is built from the binary64 register on each call.
+    pub fn acc_wide(&self) -> ExtendedAccumulator {
+        match self.acc {
+            Acc::Narrow(x) => ExtendedAccumulator::from_f64(x),
+            Acc::Wide(w) => w,
+        }
     }
 
     /// Square root of the accumulator computed in the *wide* exponent space
@@ -118,10 +168,10 @@ impl MacUnit {
     /// meaningful with the exponent extension; without it this equals
     /// `read_acc().sqrt()`.
     pub fn read_acc_sqrt(&self) -> f64 {
-        let e = self.acc.exponent();
-        let h = e.div_euclid(2);
-        let m = self.acc.normalize_with_exp_shift(-2 * h);
-        self.round(m.sqrt() * 2f64.powi(h))
+        let acc = self.acc_wide();
+        let h = acc.exponent().div_euclid(2);
+        let m = acc.normalize_with_exp_shift(-2 * h);
+        self.round(m.sqrt() * pow2i(h))
     }
 
     /// Issue `acc += a*b` this cycle. Err on double-issue.
@@ -184,14 +234,15 @@ impl MacUnit {
     /// staying bit-identical to the interpreter.
     #[inline]
     pub fn apply_retired_mac(&mut self, a_signed: f64, b: f64) {
-        if self.cfg.exponent_extension {
-            self.acc.mac(a_signed, b);
-        } else {
-            // Narrow accumulator: normalize every step, so overflow
-            // behaves like plain f64 (the baseline the extension fixes).
-            let v = self.round(self.acc.normalize() + a_signed * b);
-            self.acc = ExtendedAccumulator::from_f64(v);
-        }
+        self.acc = match self.acc {
+            // Narrow accumulator: plain binary64, so overflow behaves
+            // like plain f64 (the baseline the extension fixes).
+            Acc::Narrow(x) => Acc::Narrow(self.round(x + a_signed * b)),
+            Acc::Wide(mut w) => {
+                w.mac(a_signed, b);
+                Acc::Wide(w)
+            }
+        };
     }
 
     /// The retirement arithmetic of a free-standing FMA: `c + a_signed*b`
@@ -313,7 +364,7 @@ mod tests {
         m2.load_acc(0.0);
         m2.issue_mac(1e200, 1e200).unwrap();
         m2.drain();
-        assert!(m2.acc.exponent() > 1000);
+        assert!(m2.acc_wide().exponent() > 1000);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! (divide) and test convergence to < 1 ulp after the modeled iteration
 //! counts.
 
+use crate::accumulator::pow2i;
+
 /// Which special function is requested.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DivSqrtOp {
@@ -94,7 +96,7 @@ fn recip_seed(x: f64) -> f64 {
     let idx = ((mant - 1.0) * 128.0) as usize; // 7-bit index
     let mid = 1.0 + (idx as f64 + 0.5) / 128.0;
     let seed_m = 1.0 / mid; // table entry (precomputable)
-    seed_m * 2f64.powi(-exp as i32)
+    seed_m * pow2i(-exp as i32)
 }
 
 /// rsqrt seed: top mantissa bits + exponent parity, good to ~2^-7.
@@ -111,7 +113,7 @@ fn rsqrt_seed(x: f64) -> f64 {
     let idx = ((m - 1.0) * 64.0) as usize; // over [1,4): 6-bit per octave
     let mid = 1.0 + (idx as f64 + 0.5) / 64.0;
     let seed_m = 1.0 / mid.sqrt(); // table entry (precomputable)
-    seed_m * 2f64.powi((-e / 2) as i32)
+    seed_m * pow2i((-e / 2) as i32)
 }
 
 /// Reciprocal via table seed + `iters` Newton–Raphson steps

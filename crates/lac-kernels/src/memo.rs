@@ -18,10 +18,12 @@ use lac_sim::Program;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-type Key = (&'static str, Vec<u64>);
+/// Kernel name → shape → program. Keyed in two levels so a hit looks up
+/// by the borrowed `&[u64]` shape and allocates nothing.
+type Table = HashMap<&'static str, HashMap<Vec<u64>, Arc<Program>>>;
 
-fn table() -> &'static Mutex<HashMap<Key, Arc<Program>>> {
-    static TABLE: OnceLock<Mutex<HashMap<Key, Arc<Program>>>> = OnceLock::new();
+fn table() -> &'static Mutex<Table> {
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
     TABLE.get_or_init(Default::default)
 }
 
@@ -34,14 +36,20 @@ pub(crate) fn program(
     shape: &[u64],
     build: impl FnOnce() -> Program,
 ) -> Arc<Program> {
-    let key: Key = (kernel, shape.to_vec());
-    if let Some(p) = table().lock().unwrap().get(&key) {
+    if let Some(p) = table()
+        .lock()
+        .unwrap()
+        .get(kernel)
+        .and_then(|shapes| shapes.get(shape))
+    {
         return Arc::clone(p);
     }
     // Build outside the lock (generators can be sizable). If two threads
     // race, the first insert wins and the loser's build is dropped.
     let built = Arc::new(build());
-    Arc::clone(table().lock().unwrap().entry(key).or_insert(built))
+    let mut table = table().lock().unwrap();
+    let shapes = table.entry(kernel).or_default();
+    Arc::clone(shapes.entry(shape.to_vec()).or_insert(built))
 }
 
 #[cfg(test)]

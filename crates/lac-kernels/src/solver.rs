@@ -816,6 +816,29 @@ mod tests {
     }
 
     #[test]
+    fn fleet_on_a_service_replays_every_run() {
+        let base = SolverLoopParams {
+            n: 8,
+            rounds: 2,
+            panels: 2,
+            width: 4,
+            salt: 2000,
+        };
+        let mut svc: LacService<SolverJob> =
+            LacService::new(ChipConfig::new(2, LacConfig::default()));
+        for _ in 0..2 {
+            let fleet = SolverFleet::new(base, 3);
+            let run = svc.submit(fleet.graph, Scheduler::CriticalPath).unwrap();
+            assert_eq!(run.outputs.len(), 3 * 2 * (1 + 2 * 2));
+        }
+        // Every compiled-backend run does one lookup and takes the tape.
+        let s = svc.program_cache().stats();
+        assert_eq!(s.fallbacks, 0);
+        assert_eq!(s.replays, s.hits + s.misses);
+        assert!(s.hits > 0 && s.misses > 0);
+    }
+
+    #[test]
     fn service_reruns_are_bit_identical_across_policies() {
         let w = small();
         let mut baseline = None;

@@ -279,7 +279,7 @@ fn divsqrt_impl_code(imp: DivSqrtImpl) -> u8 {
 /// Fingerprint of every configuration field the lowering depends on.
 /// [`crate::config::ExecBackend`] is deliberately excluded: it selects
 /// *whether* to use the tape, not what the tape contains.
-fn config_fingerprint(cfg: &LacConfig) -> u64 {
+pub(crate) fn config_fingerprint(cfg: &LacConfig) -> u64 {
     let mut h = DefaultHasher::new();
     cfg.nr.hash(&mut h);
     cfg.sram_a_words.hash(&mut h);
@@ -308,6 +308,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
+    /// Compiled-backend runs that replayed a tape.
+    pub replays: u64,
+    /// Compiled-backend runs that took the interpreter instead: the
+    /// program has no tape ([`FallbackReason`]) or the core's entry state
+    /// does not admit it. Every compiled-backend run does one lookup and
+    /// counts once here or under `replays`.
+    pub fallbacks: u64,
 }
 
 #[derive(Debug, Default)]
@@ -315,6 +322,8 @@ struct CacheInner {
     map: Mutex<HashMap<(u128, u64), Arc<CompileOutcome>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    replays: AtomicU64,
+    fallbacks: AtomicU64,
 }
 
 /// A cluster-wide memo table of compiled programs.
@@ -348,6 +357,7 @@ struct CacheInner {
 /// assert_eq!(cache.stats().entries, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// assert_eq!(cache.stats().hits, 1);
+/// assert_eq!(cache.stats().replays, 2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ProgramCache {
@@ -366,13 +376,21 @@ impl ProgramCache {
             entries: self.inner.map.lock().unwrap().len(),
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
+            replays: self.inner.replays.load(Ordering::Relaxed),
+            fallbacks: self.inner.fallbacks.load(Ordering::Relaxed),
         }
     }
 
-    /// Resolve `prog` under `cfg` to a memoized compile outcome,
-    /// compiling outside the lock on a miss.
-    pub(crate) fn lookup(&self, cfg: &LacConfig, prog: &Program) -> Arc<CompileOutcome> {
-        let key = (prog.structural_hash(), config_fingerprint(cfg));
+    /// Resolve `prog` under `cfg` (whose [`config_fingerprint`] is
+    /// `cfg_key`) to a memoized compile outcome, compiling outside the
+    /// lock on a miss.
+    pub(crate) fn lookup(
+        &self,
+        cfg: &LacConfig,
+        cfg_key: u64,
+        prog: &Program,
+    ) -> Arc<CompileOutcome> {
+        let key = (prog.structural_hash(), cfg_key);
         if let Some(hit) = self.inner.map.lock().unwrap().get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
@@ -389,6 +407,16 @@ impl ProgramCache {
             .entry(key)
             .or_insert(outcome)
             .clone()
+    }
+
+    /// Count one compiled-backend run: a tape replay or a fallback.
+    fn count_run(&self, replayed: bool) {
+        let counter = if replayed {
+            &self.inner.replays
+        } else {
+            &self.inner.fallbacks
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1434,15 +1462,16 @@ impl Lac {
         mem: &mut ExternalMem,
     ) -> Result<ExecStats, SimError> {
         assert_eq!(prog.nr, self.cfg.nr, "program/mesh dimension mismatch");
-        let outcome = self.program_cache().clone().lookup(self.config(), prog);
-        match &*outcome {
-            CompileOutcome::Fallback(_) => self.run_interpreted(prog, mem),
-            CompileOutcome::Compiled(cp) => {
-                if !self.compiled_eligible(cp, mem) {
-                    return self.run_interpreted(prog, mem);
-                }
-                Ok(self.exec_compiled(cp, mem))
-            }
+        let cache = self.program_cache();
+        let outcome = cache.lookup(&self.cfg, self.cfg_key, prog);
+        let tape = match &*outcome {
+            CompileOutcome::Compiled(cp) if self.compiled_eligible(cp, mem) => Some(cp),
+            _ => None,
+        };
+        cache.count_run(tape.is_some());
+        match tape {
+            Some(cp) => Ok(self.exec_compiled(cp, mem)),
+            None => self.run_interpreted(prog, mem),
         }
     }
 
@@ -1746,6 +1775,20 @@ mod tests {
             compile(&cfg, &prog).err(),
             Some(FallbackReason::LatchCarryIn)
         );
+        // Latch a result with an interpreted run; a compiled run of the
+        // reader then takes the interpreter and counts as a fallback.
+        let mut lac = Lac::new(cfg);
+        let mut mem = ExternalMem::new(1);
+        let mut latch = ProgramBuilder::new(cfg.nr);
+        let t = latch.push_step();
+        latch.pe_mut(t, 0, 0).fma =
+            Some((Source::Const(2.0), Source::Const(3.0), Source::Const(1.0)));
+        latch.idle(cfg.fpu.pipeline_depth);
+        lac.run_interpreted(&latch.build(), &mut mem).unwrap();
+        lac.run_compiled(&prog, &mut mem).unwrap();
+        assert_eq!(lac.reg(0, 0, 0), 7.0);
+        let s = lac.program_cache().stats();
+        assert_eq!((s.misses, s.replays, s.fallbacks), (1, 0, 1));
     }
 
     #[test]
@@ -1777,7 +1820,9 @@ mod tests {
         b.run(&prog, &mut m2).unwrap();
         let s = cache.stats();
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 1));
-        assert_eq!(cache.lookup(&cfg, &prog).fallback_reason(), None);
+        assert_eq!((s.replays, s.fallbacks), (2, 0));
+        let key = config_fingerprint(&cfg);
+        assert_eq!(cache.lookup(&cfg, key, &prog).fallback_reason(), None);
         // A structurally identical rebuild hits the same entry.
         let rebuilt = mixed_program(&cfg);
         assert_eq!(prog.structural_hash(), rebuilt.structural_hash());
@@ -1804,6 +1849,9 @@ mod tests {
         // The in-flight MAC retires during this (compiled-ineligible) run.
         lac.run_compiled(&rest.build(), &mut mem).unwrap();
         assert_eq!(lac.acc(0, 0), 10.0);
+        // The program has a tape, but this run could not take it.
+        let s = lac.program_cache().stats();
+        assert_eq!((s.misses, s.replays, s.fallbacks), (1, 0, 1));
     }
 
     #[test]

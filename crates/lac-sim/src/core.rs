@@ -9,7 +9,7 @@
 //! private `ArenaLayout`), so a
 //! core can switch backends between programs with bit-identical results.
 
-use crate::compile::ProgramCache;
+use crate::compile::{config_fingerprint, ProgramCache};
 use crate::config::{ExecBackend, LacConfig};
 use crate::error::{HazardKind, SimError};
 use crate::isa::{ExtOp, Program, Source, Step};
@@ -160,6 +160,9 @@ pub struct Lac {
     stats: ExecStats,
     scratch: Scratch,
     cache: ProgramCache,
+    /// `config_fingerprint(&cfg)`, the config half of every program-cache
+    /// key; computed once, since `cfg` never changes after construction.
+    pub(crate) cfg_key: u64,
 }
 
 impl Lac {
@@ -195,6 +198,7 @@ impl Lac {
             stats: ExecStats::default(),
             scratch: Scratch::default(),
             cache: ProgramCache::new(),
+            cfg_key: config_fingerprint(&cfg),
         }
     }
 
@@ -252,7 +256,7 @@ impl Lac {
 
     /// A PE's wide accumulator (the extended-format read port, §A.2).
     pub fn acc_wide(&self, r: usize, c: usize) -> lac_fpu::ExtendedAccumulator {
-        *self.pes[self.pe_index(r, c)].mac.acc_wide()
+        self.pes[self.pe_index(r, c)].mac.acc_wide()
     }
 
     /// Execute a whole program against `mem`, returning the run's stats.
